@@ -15,6 +15,36 @@ let exit_unclassified = 1
 let exit_usage = 2
 let exit_internal = 3
 
+(* Reader errors. Every subcommand reads its input files through [read_input]:
+   a file that is malformed, of the wrong kind or from another schema
+   version surfaces as [Bad_input] with a message naming the path (and
+   the kind), and [with_inputs] turns it, like an unreadable path, into
+   exit code 2. *)
+exception Bad_input of string
+
+let read_input path read =
+  try read path with
+  | Obs.Envelope.Version_mismatch { kind; expected; got } ->
+    raise
+      (Bad_input
+         (Printf.sprintf
+            "%s: %s schema version mismatch (file has v%d, this build reads v%d); \
+             regenerate it with this binary"
+            path kind got expected))
+  | Obs.Json.Parse_error msg -> raise (Bad_input (path ^ ": " ^ msg))
+
+let with_inputs ~cmd f =
+  try f () with
+  | Bad_input msg | Sys_error msg ->
+    Printf.eprintf "nebby %s: %s\n" cmd msg;
+    exit_usage
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+let read_pool_trace path = read_input path (fun p -> Obs.Pooltrace.of_string (read_all p))
+
+let read_ledger store =
+  read_input store (fun store -> Serve.Observatory.ledger_of_store ~store)
+
 let cca_arg =
   let doc = "Target server's CCA (a registry name, e.g. cubic, bbr, akamai_cc)." in
   Arg.(value & opt string "cubic" & info [ "cca" ] ~docv:"CCA" ~doc)
@@ -37,9 +67,22 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let runs_arg =
-  let doc = "Training runs per CCA (more runs, tighter clusters, slower start)." in
-  Arg.(value & opt int 10 & info [ "training-runs" ] ~docv:"N" ~doc)
+(* Training keeps only the classes with at least two vectors, so fewer
+   than two runs per CCA leaves nothing to fit: a usage error, not a
+   crash. Each subcommand keeps its own default. *)
+let training_runs_arg
+    ?(doc = "Training runs per CCA (more runs, tighter clusters, slower start).") default =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 2 -> Ok n
+    | Some n ->
+      Error (Printf.sprintf "%d run(s) per CCA cannot fit a model; need at least 2" n)
+    | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)
+  in
+  Arg.(
+    value
+    & opt (conv' (parse, Format.pp_print_int)) default
+    & info [ "training-runs" ] ~docv:"N" ~doc)
 
 let max_attempts_arg =
   let doc = "Measurement attempts before giving up." in
@@ -241,8 +284,7 @@ let replay_fixture ~control fixture =
   report
 
 let reports_of_file ~control target =
-  let text = In_channel.with_open_bin target In_channel.input_all in
-  match Obs.Json.of_string text with
+  match Obs.Json.of_string (read_all target) with
   | json ->
     if Obs.Json.member "traces" json <> None then [ replay_fixture ~control json ]
     else [ Obs.Provenance.of_json json ]
@@ -330,9 +372,10 @@ let measure_cmd =
   let doc = "Measure a simulated server and classify its CCA." in
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(
-      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ runs_arg $ max_attempts_arg
-      $ log_level_arg $ flight_arg $ flight_confidence_arg $ telemetry_arg $ chrome_arg
-      $ provenance_arg $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
+      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ training_runs_arg 10
+      $ max_attempts_arg $ log_level_arg $ flight_arg $ flight_confidence_arg
+      $ telemetry_arg $ chrome_arg $ provenance_arg $ prof_table_arg $ prof_folded_arg
+      $ prof_json_arg)
 
 let trace_cmd =
   let run cca proto noise seed =
@@ -439,9 +482,9 @@ let census_cmd =
   let doc = "Run a mini census over the synthetic website population." in
   Cmd.v (Cmd.info "census" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ runs_arg $ jobs_arg
-      $ log_level_arg $ provenance_arg $ pool_trace_arg $ pool_report_arg $ prof_table_arg
-      $ prof_folded_arg $ prof_json_arg)
+      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_runs_arg 10
+      $ jobs_arg $ log_level_arg $ provenance_arg $ pool_trace_arg $ pool_report_arg
+      $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
 
 let accuracy_cmd =
   let trials_arg =
@@ -469,7 +512,7 @@ let accuracy_cmd =
     exit_ok
   in
   let doc = "Evaluate classification accuracy over the kernel CCAs (Table 3)." in
-  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ runs_arg)
+  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ training_runs_arg 10)
 
 let chaos_cmd =
   let names_conv = Arg.(some (list string)) in
@@ -570,8 +613,8 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ ccas_arg $ families_arg $ seed_arg $ seeds_count_arg $ seed_list_arg
-      $ runs_arg $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg $ telemetry_arg
-      $ chrome_arg $ list_families_arg $ dump_plans_arg)
+      $ training_runs_arg 10 $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg
+      $ telemetry_arg $ chrome_arg $ list_families_arg $ dump_plans_arg)
 
 (* `fuzz` — coverage-guided adversarial search (lib/search): breed fault
    plans and path perturbations against the measurement pipeline, minimize
@@ -610,13 +653,6 @@ let fuzz_cmd =
        reproduces its recorded verdict."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"DIR" ~doc)
-  in
-  let training_runs_arg =
-    let doc = "Training runs per CCA for the search's control models." in
-    Arg.(
-      value
-      & opt int Search.Fuzzer.default_config.Search.Fuzzer.training_runs
-      & info [ "training-runs" ] ~docv:"N" ~doc)
   in
   let fuzz_attempts_arg =
     let doc = "Measurement attempts per evaluation (low: retries cost budget)." in
@@ -663,10 +699,9 @@ let fuzz_cmd =
         List.iter
           (fun file ->
             let path = Filename.concat dir file in
-            match Search.Fixture.load path with
-            | exception Search.Fixture.Version_mismatch { expected; got } ->
-              Printf.eprintf "nebby fuzz: %s: fixture schema v%d, this build reads v%d\n"
-                path got expected;
+            match read_input path Search.Fixture.load with
+            | exception Bad_input msg ->
+              Printf.eprintf "nebby fuzz: %s\n" msg;
               incr broken
             | Error e ->
               Printf.eprintf "nebby fuzz: %s: %s\n" path e;
@@ -816,8 +851,23 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ budget_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ target_arg $ out_arg $ corpus_arg $ replay_arg $ training_runs_arg
+      $ target_arg $ out_arg $ corpus_arg $ replay_arg
+      $ training_runs_arg ~doc:"Training runs per CCA for the search's control models."
+          Search.Fuzzer.default_config.Search.Fuzzer.training_runs
       $ fuzz_attempts_arg $ log_level_arg)
+
+(* explain and report replay golden fixtures at their pinned training
+   configuration by default *)
+let golden_training_runs_arg =
+  training_runs_arg ~doc:"Training runs per CCA (default: the golden-pinned 4)." 4
+
+let training_quic_runs_arg =
+  let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
+  Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
+
+let training_seed_arg =
+  let doc = "Training seed (default: the golden-pinned 7)." in
+  Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
 
 (* `explain TARGET` resolves its target in order: an existing file (a
    golden fixture to replay, a single provenance record, or a provenance
@@ -833,18 +883,6 @@ let explain_cmd =
        CCA registry name, or a website name from the synthetic population."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
-  in
-  let training_runs_arg =
-    let doc = "Training runs per CCA (default: the golden-pinned 4)." in
-    Arg.(value & opt int 4 & info [ "training-runs" ] ~docv:"N" ~doc)
-  in
-  let training_quic_runs_arg =
-    let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
-    Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
-  in
-  let training_seed_arg =
-    let doc = "Training seed (default: the golden-pinned 7)." in
-    Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
   in
   let sites_arg =
     Arg.(
@@ -880,10 +918,10 @@ let explain_cmd =
         provenance;
       code
     in
-    try
+    with_inputs ~cmd:"explain" (fun () ->
       with_profiling ~prof ~folded ~json:prof_json (fun () ->
           if Sys.file_exists target then
-            match reports_of_file ~control target with
+            match read_input target (reports_of_file ~control) with
             | [] ->
               Printf.eprintf "nebby explain: %s holds no provenance reports\n" target;
               exit_usage
@@ -937,20 +975,7 @@ let explain_cmd =
                   (* an unresponsive site has no verdict to explain *)
                   Printf.printf "verdict   %s (no provenance: site did not respond)\n"
                     report.Nebby.Measurement.label;
-                  exit_ok)))
-    with
-    | Obs.Provenance.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby explain: provenance schema version mismatch (expected %d, got %d); \
-         regenerate the reports with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby explain: %s: %s\n" target msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby explain: %s\n" msg;
-      exit_usage
+                  exit_ok))))
   in
   let doc =
     "Show the decision provenance of a classification: candidate scores, winning margin, \
@@ -958,7 +983,7 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ target_arg $ training_runs_arg $ training_quic_runs_arg
+      const run $ target_arg $ golden_training_runs_arg $ training_quic_runs_arg
       $ training_seed_arg $ sites_arg $ region_arg $ proto_arg $ noise_arg $ seed_arg
       $ log_level_arg $ provenance_arg $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
 
@@ -986,18 +1011,6 @@ let report_cmd =
        dump's."
     in
     Arg.(value & opt (some string) None & info [ "provenance" ] ~docv:"FILE" ~doc)
-  in
-  let training_runs_arg =
-    let doc = "Training runs per CCA (default: the golden-pinned 4)." in
-    Arg.(value & opt int 4 & info [ "training-runs" ] ~docv:"N" ~doc)
-  in
-  let training_quic_runs_arg =
-    let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
-    Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
-  in
-  let training_seed_arg =
-    let doc = "Training seed (default: the golden-pinned 7)." in
-    Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
   in
   let prof_arg =
     let doc =
@@ -1049,8 +1062,7 @@ let report_cmd =
         result
       end
     in
-    let emit ~dump ~provenance =
-      let html = Obs.Render.measurement_report ?provenance ?prof:!profiled ~dump () in
+    let output html =
       (match out with
       | None -> print_string html
       | Some path ->
@@ -1058,121 +1070,85 @@ let report_cmd =
         Printf.printf "report: %s\n" path);
       exit_ok
     in
-    try
-      if Sys.file_exists target then begin
-        let text = In_channel.with_open_bin target In_channel.input_all in
-        (* pool-trace JSONL headers self-identify; route them to the
-           scheduler report rather than the measurement report *)
-        let is_pool_trace =
-          let header = match String.index_opt text '\n' with
-            | Some i -> String.sub text 0 i
-            | None -> text
-          in
-          match Obs.Json.member "kind" (Obs.Json.of_string header) with
-          | Some (Obs.Json.Str "pool_trace") -> true
-          | _ -> false
-          | exception Obs.Json.Parse_error _ -> false
+    let emit ~dump ~provenance =
+      output (Obs.Render.measurement_report ?provenance ?prof:!profiled ~dump ())
+    in
+    (* A file routes on its header's kind: pool traces to the scheduler
+       report, any other kind to the flight-dump reader (whose envelope
+       check names the kind it found), and kind-less JSON to golden
+       fixture replay. *)
+    let report_file text =
+      let header =
+        match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text
+      in
+      match Obs.Json.member "kind" (Obs.Json.of_string header) with
+      | Some (Obs.Json.Str "pool_trace") ->
+        output (Obs.Render.pool_report_html ~trace:(Obs.Pooltrace.of_string text) ())
+      | Some _ ->
+        let dump = Obs.Flight.dump_of_string text in
+        let provenance =
+          Option.map
+            (fun path ->
+              let reports = read_input path Obs.Provenance.read_jsonl in
+              match
+                List.find_opt
+                  (fun (r : Obs.Provenance.report) ->
+                    r.Obs.Provenance.subject = dump.Obs.Flight.subject)
+                  reports
+              with
+              | Some r -> Some r
+              | None ->
+                note "nebby report: no provenance record matches subject %s\n"
+                  dump.Obs.Flight.subject;
+                (match reports with r :: _ -> Some r | [] -> None))
+            provenance_from
         in
-        if is_pool_trace then begin
-          let trace = Obs.Pooltrace.of_string text in
-          let html = Obs.Render.pool_report_html ~trace () in
-          (match out with
-          | None -> print_string html
-          | Some path ->
-            write_file path html;
-            Printf.printf "report: %s\n" path);
-          exit_ok
+        emit ~dump ~provenance:(Option.join provenance)
+      | None | (exception Obs.Json.Parse_error _) ->
+        let fixture = Obs.Json.of_string text in
+        if Obs.Json.member "traces" fixture = None then begin
+          Printf.eprintf "nebby report: %s is neither a flight dump nor a golden fixture\n"
+            target;
+          exit_usage
         end
-        else
-        match Obs.Flight.dump_of_string text with
-        | dump ->
+        else begin
+          let cca, entries = fixture_entries fixture in
           let provenance =
-            Option.map
-              (fun path ->
-                let reports = Obs.Provenance.read_jsonl path in
-                match
-                  List.find_opt
-                    (fun (r : Obs.Provenance.report) ->
-                      r.Obs.Provenance.subject = dump.Obs.Flight.subject)
-                    reports
-                with
-                | Some r -> Some r
-                | None ->
-                  note "nebby report: no provenance record matches subject %s\n"
-                    dump.Obs.Flight.subject;
-                  (match reports with r :: _ -> Some r | [] -> None))
-              provenance_from
+            with_prof (fun () ->
+                snd
+                  (Nebby.Measurement.explain_prepared ~control:(Lazy.force control)
+                     ~subject:cca entries))
           in
-          emit ~dump ~provenance:(Option.join provenance)
-        | exception Obs.Json.Parse_error _ ->
-          (* not a flight dump: try a golden fixture replay *)
-          let fixture = Obs.Json.of_string text in
-          if Obs.Json.member "traces" fixture = None then begin
+          emit ~dump:(dump_of_entries ~subject:cca entries) ~provenance:(Some provenance)
+        end
+    in
+    with_inputs ~cmd:"report" (fun () ->
+        if Sys.file_exists target then
+          read_input target (fun path -> report_file (read_all path))
+        else if List.mem target Cca.Registry.all then begin
+          (* force a dump: every verdict is under a threshold of 2 *)
+          let config = { Nebby.Measurement.default_config with flight_confidence = 2.0 } in
+          let report =
+            with_prof (fun () ->
+                let control = Lazy.force control in
+                let plugins = Nebby.Classifier.extended_plugins control in
+                Nebby.Measurement.measure_cca ~control ~plugins ~proto ~noise ~seed ~config
+                  target)
+          in
+          match report.Nebby.Measurement.flight with
+          | Some dump -> emit ~dump ~provenance:report.Nebby.Measurement.provenance
+          | None ->
             Printf.eprintf
-              "nebby report: %s is neither a flight dump nor a golden fixture\n" target;
-            exit_usage
-          end
-          else begin
-            let cca, entries = fixture_entries fixture in
-            let provenance =
-              with_prof (fun () ->
-                  snd
-                    (Nebby.Measurement.explain_prepared ~control:(Lazy.force control)
-                       ~subject:cca entries))
-            in
-            emit ~dump:(dump_of_entries ~subject:cca entries)
-              ~provenance:(Some provenance)
-          end
-      end
-      else if List.mem target Cca.Registry.all then begin
-        (* force a dump: every verdict is under a threshold of 2 *)
-        let config =
-          { Nebby.Measurement.default_config with flight_confidence = 2.0 }
-        in
-        let report =
-          with_prof (fun () ->
-              let control = Lazy.force control in
-              let plugins = Nebby.Classifier.extended_plugins control in
-              Nebby.Measurement.measure_cca ~control ~plugins ~proto ~noise ~seed ~config
-                target)
-        in
-        match report.Nebby.Measurement.flight with
-        | Some dump -> emit ~dump ~provenance:report.Nebby.Measurement.provenance
-        | None ->
+              "nebby report: measurement produced no flight dump (is the recorder \
+               disabled?)\n";
+            exit_internal
+        end
+        else begin
           Printf.eprintf
-            "nebby report: measurement produced no flight dump (is the recorder \
-             disabled?)\n";
-          exit_internal
-      end
-      else begin
-        Printf.eprintf
-          "nebby report: %s is not a file, a flight dump, or a CCA registry name\n" target;
-        exit_usage
-      end
-    with
-    | Obs.Flight.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: flight-dump schema version mismatch (expected %d, got %d); \
-         regenerate the dump with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Provenance.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: provenance schema version mismatch (expected %d, got %d)\n" expected
-        got;
-      exit_usage
-    | Obs.Pooltrace.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: pool-trace schema version mismatch (expected %d, got %d); \
-         regenerate the trace with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby report: %s: %s\n" target msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby report: %s\n" msg;
-      exit_usage
+            "nebby report: %s is not a file, a flight dump, or a CCA registry name\n"
+            target;
+          exit_usage
+        end)
   in
   let doc =
     "Render a self-contained HTML measurement report (BiF timeline with anomaly \
@@ -1181,7 +1157,7 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ target_arg $ training_runs_arg $ training_quic_runs_arg
+      const run $ target_arg $ golden_training_runs_arg $ training_quic_runs_arg
       $ training_seed_arg $ proto_arg $ noise_arg $ seed_arg $ log_level_arg
       $ provenance_from_arg $ prof_arg $ out_arg)
 
@@ -1266,7 +1242,7 @@ let campaign_cmd =
      derived census_sites_per_s throughput joins them when the ledger
      predates the bench recording it directly *)
   let bench_extras path =
-    let j = Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) in
+    let j = Obs.Json.of_string (read_all path) in
     let fields =
       match j with
       | Obs.Json.Obj kvs ->
@@ -1309,7 +1285,7 @@ let campaign_cmd =
     let ledgers =
       List.filter_map
         (fun f ->
-          match Obs.Json.of_string (In_channel.with_open_bin f In_channel.input_all) with
+          match Obs.Json.of_string (read_all f) with
           | j -> Some (f, j)
           | exception _ -> None)
         files
@@ -1342,7 +1318,7 @@ let campaign_cmd =
       summary_path html_path from bench_json no_gates pool_trace_file drift_store
       accuracy_floor ci_ceiling =
     Obs.Runtime.set_level log_level;
-    try
+    with_inputs ~cmd:"campaign" (fun () ->
       match Internet.Campaign_runner.experiment_of_name experiment with
       | Error msg when from = None ->
         Printf.eprintf "nebby campaign: %s\n" msg;
@@ -1362,7 +1338,7 @@ let campaign_cmd =
             let experiment_tag, seed_runs =
               match from with
               | Some store ->
-                let tag, stored = Obs.Campaign.read_store store in
+                let tag, stored = read_input store Obs.Campaign.read_store in
                 note "nebby campaign: aggregating %d stored run(s) from %s\n"
                   (List.length stored) store;
                 (tag, stored)
@@ -1391,7 +1367,7 @@ let campaign_cmd =
             in
             let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
             let extra =
-              match bench_json with None -> [] | Some path -> bench_extras path
+              match bench_json with None -> [] | Some path -> read_input path bench_extras
             in
             let gates =
               if no_gates then []
@@ -1406,17 +1382,11 @@ let campaign_cmd =
             write_file summary_path
               (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary)
               ^ "\n");
-            let pool =
-              Option.map
-                (fun path ->
-                  Obs.Pooltrace.of_string
-                    (In_channel.with_open_bin path In_channel.input_all))
-                pool_trace_file
-            in
+            let pool = Option.map read_pool_trace pool_trace_file in
             let drift =
               Option.map
                 (fun store ->
-                  let ledger = Serve.Observatory.ledger_of_store ~store in
+                  let ledger = read_ledger store in
                   (ledger, Obs.Drift.detect ledger))
                 drift_store
             in
@@ -1442,32 +1412,7 @@ let campaign_cmd =
                         r.Obs.Campaign.gate.Obs.Campaign.gate_name)
                       failed));
               exit_unclassified
-            end))
-    with
-    | Obs.Campaign.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: store schema version mismatch (expected %d, got %d); regenerate \
-         the store with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Pooltrace.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: pool-trace schema version mismatch (expected %d, got %d); \
-         regenerate the trace with this binary\n"
-        expected got;
-      exit_usage
-    | Engine.Journal.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: drift-store schema version mismatch (expected %d, got %d); \
-         regenerate the store with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby campaign: %s\n" msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby campaign: %s\n" msg;
-      exit_usage
+            end)))
   in
   let doc =
     "Fan an experiment across many seeds, aggregate per-cell statistics (mean, stddev, \
@@ -1477,8 +1422,8 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
       const run $ experiment_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ runs_arg $ sites_arg $ region_arg $ proto_arg $ log_level_arg $ out_arg
-      $ summary_arg $ html_arg $ from_arg $ bench_json_arg $ no_gates_arg
+      $ training_runs_arg 10 $ sites_arg $ region_arg $ proto_arg $ log_level_arg
+      $ out_arg $ summary_arg $ html_arg $ from_arg $ bench_json_arg $ no_gates_arg
       $ pool_trace_file_arg $ drift_store_arg $ accuracy_floor_arg $ ci_ceiling_arg)
 
 let serve_cmd =
@@ -1610,31 +1555,19 @@ let serve_cmd =
       max_entries confidence_floor margin_floor kill compact_only status_file migrate
       alerts alert_log telemetry log_level =
     Obs.Runtime.set_level log_level;
-    let on_version_mismatch expected got =
-      Printf.eprintf
-        "nebby serve: store schema version mismatch (expected %d, got %d); move the old \
-         store aside or regenerate it with this binary\n"
-        expected got;
-      exit_usage
-    in
-    if compact_only then (
-      try
-        let live = Serve.Service.compact_store ~store in
-        Printf.printf "compacted  : %s (%d live record(s))\n" store live;
-        exit_ok
-      with
-      | Engine.Journal.Version_mismatch { expected; got } -> on_version_mismatch expected got
-      | Obs.Json.Parse_error msg ->
-        Printf.eprintf "nebby serve: %s\n" msg;
-        exit_usage)
+    with_inputs ~cmd:"serve" @@ fun () ->
+    if compact_only then begin
+      let live = read_input store (fun store -> Serve.Service.compact_store ~store) in
+      Printf.printf "compacted  : %s (%d live record(s))\n" store live;
+      exit_ok
+    end
     else
       match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
       | None ->
         Printf.eprintf "nebby serve: unknown region %s (expected one of %s)\n" region
           (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
         exit_usage
-      | Some region -> (
-        try
+      | Some region ->
           let migration =
             match migrate with
             | None -> None
@@ -1650,7 +1583,7 @@ let serve_cmd =
           in
           let alert_rules =
             match alerts with
-            | Some path -> Serve.Alerts.load_rules path
+            | Some path -> read_input path Serve.Alerts.load_rules
             | None -> if alert_log <> None then Serve.Alerts.default_rules else []
           in
           let control = train runs in
@@ -1676,8 +1609,9 @@ let serve_cmd =
             }
           in
           let summary =
-            Obs.Telemetry.record ?jsonl:telemetry (fun () ->
-                Serve.Service.run ~control ~config ~store)
+            read_input store (fun store ->
+                Obs.Telemetry.record ?jsonl:telemetry (fun () ->
+                    Serve.Service.run ~control ~config ~store))
           in
           Printf.printf "store      : %s\n" store;
           Printf.printf "epochs     : %d over %d site(s) (%s, %s)\n" config.epochs sites
@@ -1704,18 +1638,6 @@ let serve_cmd =
           Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
           Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
           exit_ok
-        with
-        | Engine.Journal.Version_mismatch { expected; got } ->
-          on_version_mismatch expected got
-        | Serve.Alerts.Version_mismatch { expected; got } ->
-          Printf.eprintf
-            "nebby serve: alert-rules schema version mismatch (expected %d, got %d); \
-             regenerate the rules file for this binary\n"
-            expected got;
-          exit_usage
-        | Obs.Json.Parse_error msg | Sys_error msg ->
-          Printf.eprintf "nebby serve: %s\n" msg;
-          exit_usage)
   in
   let doc =
     "Run the crash-safe continuous census: measure the population onto a durable \
@@ -1724,8 +1646,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ runs_arg $ jobs_arg
-      $ epochs_arg $ store_arg $ deadline_arg $ high_water_arg $ batch_arg
+      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_runs_arg 10
+      $ jobs_arg $ epochs_arg $ store_arg $ deadline_arg $ high_water_arg $ batch_arg
       $ max_entries_arg $ confidence_floor_arg $ margin_floor_arg $ kill_arg
       $ compact_only_arg $ status_file_arg $ migrate_arg $ alerts_arg $ alert_log_arg
       $ telemetry_arg $ log_level_arg)
@@ -1766,8 +1688,8 @@ let drift_cmd =
     Arg.(value & opt (some string) None & info [ "alert-out" ] ~docv:"FILE" ~doc)
   in
   let run store out html_path rules alert_log alert_out =
-    try
-      let ledger = Serve.Observatory.ledger_of_store ~store in
+    with_inputs ~cmd:"drift" @@ fun () ->
+      let ledger = read_ledger store in
       let events = Obs.Drift.detect ledger in
       write_file out (Obs.Json.to_string (Obs.Drift.to_json ledger) ^ "\n");
       (* alert timeline: a saved serve log wins; otherwise replay rules
@@ -1775,13 +1697,13 @@ let drift_cmd =
       let transitions =
         match (alert_log, rules) with
         | Some path, _ ->
-          In_channel.with_open_bin path In_channel.input_all
-          |> String.split_on_char '\n'
-          |> List.filter_map (fun l ->
-                 if l = "" then None
-                 else Some (Serve.Alerts.transition_of_json (Obs.Json.of_string l)))
+          read_input path (fun path ->
+              String.split_on_char '\n' (read_all path)
+              |> List.filter_map (fun l ->
+                     if l = "" then None
+                     else Some (Serve.Alerts.transition_of_json (Obs.Json.of_string l))))
         | None, Some path ->
-          let engine = Serve.Alerts.create (Serve.Alerts.load_rules path) in
+          let engine = Serve.Alerts.create (read_input path Serve.Alerts.load_rules) in
           List.concat_map
             (fun (p : Obs.Drift.point) ->
               let epoch = p.Obs.Drift.epoch in
@@ -1838,26 +1760,6 @@ let drift_cmd =
         exit_unclassified
       end
       else exit_ok
-    with
-    | Engine.Journal.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: store schema version mismatch (expected %d, got %d); regenerate \
-         the store with this binary\n"
-        expected got;
-      exit_usage
-    | Serve.Alerts.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: alert schema version mismatch (expected %d, got %d); regenerate \
-         the rules/log with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Drift.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: ledger schema version mismatch (expected %d, got %d)\n" expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg | Sys_error msg ->
-      Printf.eprintf "nebby drift: %s\n" msg;
-      exit_usage
   in
   let doc =
     "Deployment-drift observatory: fold a serve store's per-epoch verdicts into a \
@@ -1910,57 +1812,24 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "drift" ] ~docv:"STORE" ~doc)
   in
   let run file live pool chrome drift =
+    with_inputs ~cmd:"stats" @@ fun () ->
     match (live, pool, drift) with
-    | _, _, Some store -> (
-      try
-        let ledger = Serve.Observatory.ledger_of_store ~store in
-        print_string (Obs.Drift.render ledger (Obs.Drift.detect ledger));
-        exit_ok
-      with
-      | Engine.Journal.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: store schema version mismatch (expected %d, got %d); regenerate \
-           the store with this binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
-    | Some status_path, _, None -> (
-      try
-        print_string (Serve.Health.render (Serve.Health.read status_path));
-        exit_ok
-      with
-      | Serve.Health.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: status schema version mismatch (expected %d, got %d); the daemon \
-           writing it is a different binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
-    | None, Some trace_path, None -> (
-      try
-        let text = In_channel.with_open_bin trace_path In_channel.input_all in
-        let trace = Obs.Pooltrace.of_string text in
-        print_string (Obs.Pooltrace.report trace);
-        Option.iter
-          (fun out ->
-            write_file out (Obs.Pooltrace.to_chrome_string trace);
-            Printf.printf "\nchrome trace: %s\n" out)
-          chrome;
-        exit_ok
-      with
-      | Obs.Pooltrace.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: pool-trace schema version mismatch (expected %d, got %d); \
-           regenerate the trace with this binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
+    | _, _, Some store ->
+      let ledger = read_ledger store in
+      print_string (Obs.Drift.render ledger (Obs.Drift.detect ledger));
+      exit_ok
+    | Some status_path, _, None ->
+      print_string (Serve.Health.render (read_input status_path Serve.Health.read));
+      exit_ok
+    | None, Some trace_path, None ->
+      let trace = read_pool_trace trace_path in
+      print_string (Obs.Pooltrace.report trace);
+      Option.iter
+        (fun out ->
+          write_file out (Obs.Pooltrace.to_chrome_string trace);
+          Printf.printf "\nchrome trace: %s\n" out)
+        chrome;
+      exit_ok
     | None, None, None -> (
       let path =
         match file with
@@ -1970,15 +1839,11 @@ let stats_cmd =
           else None
       in
       match path with
-      | Some p -> (
-        match Obs.Telemetry.read_summary p with
-        | summary ->
-          Printf.printf "telemetry summary of %s\n\n%s" p
-            (Obs.Telemetry.render_summary summary);
-          exit_ok
-        | exception Sys_error msg ->
-          Printf.eprintf "nebby stats: %s\n" msg;
-          exit_usage)
+      | Some p ->
+        let summary = read_input p Obs.Telemetry.read_summary in
+        Printf.printf "telemetry summary of %s\n\n%s" p
+          (Obs.Telemetry.render_summary summary);
+        exit_ok
       | None ->
         (* nothing recorded yet: profile live runs so the metrics table is
            never empty. The work goes through the pool with task tracing

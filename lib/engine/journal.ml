@@ -7,8 +7,7 @@
    byte-identical files. *)
 
 let schema_version = 1
-
-exception Version_mismatch of { expected : int; got : int }
+let kind = "nebby_journal"
 
 (* CRC-32 (IEEE, reflected), table-driven. Implemented locally: the
    container has no checksum library and the journal only needs a cheap,
@@ -31,13 +30,7 @@ let crc32 s =
   !c lxor 0xFFFFFFFF
 
 let header_line =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("kind", Obs.Json.Str "nebby_journal");
-         ("version", Obs.Json.Num (float_of_int schema_version));
-       ])
-  ^ "\n"
+  Obs.Json.to_string (Obs.Envelope.obj ~kind ~version:schema_version []) ^ "\n"
 
 let payload_of ~key ~value =
   Obs.Json.to_string (Obs.Json.Obj [ ("key", Obs.Json.Str key); ("value", Obs.Json.Str value) ])
@@ -150,14 +143,8 @@ let open_ ?max_entries ?(on_warning = fun msg -> Printf.eprintf "%s\n%!" msg) pa
       | Some nl -> nl + 1
       | None -> jfail (path ^ ": header line is incomplete")
     in
-    let hj = Obs.Json.of_string (String.sub text 0 (header_end - 1)) in
-    (match Obs.Json.member "kind" hj with
-    | Some (Obs.Json.Str "nebby_journal") -> ()
-    | _ -> jfail (path ^ " is not a nebby journal"));
-    (match Option.bind (Obs.Json.member "version" hj) Obs.Json.to_float with
-    | Some v when int_of_float v = schema_version -> ()
-    | Some v -> raise (Version_mismatch { expected = schema_version; got = int_of_float v })
-    | None -> jfail (path ^ ": header has no version"));
+    Obs.Envelope.check ~kind ~version:schema_version
+      (Obs.Json.of_string (String.sub text 0 (header_end - 1)));
     (* replay records; stop at the first torn/corrupt one *)
     let len = String.length text in
     let pos = ref header_end in

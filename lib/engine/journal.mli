@@ -35,17 +35,13 @@
 type t
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
-(** Raised by {!open_} when the header's version differs from
-    {!schema_version}. The CLI maps it to exit code 2, like the
-    provenance/flight/campaign stores. *)
+(** The header is an {!Obs.Envelope} of kind ["nebby_journal"]. *)
 
 val open_ : ?max_entries:int -> ?on_warning:(string -> unit) -> string -> t
 (** Open (or create) the journal at a path. [max_entries] bounds the
     in-memory value cache (default: unbounded); [on_warning] receives a
     human-readable message when a torn tail is dropped (default: print
-    to stderr). Raises {!Version_mismatch} on schema skew and
+    to stderr). Raises [Obs.Envelope.Version_mismatch] on schema skew and
     [Json.Parse_error] when the file exists but is not a journal. *)
 
 val path : t -> string

@@ -7,18 +7,17 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
    global index s + p*w. *)
 let shard_size ~n ~workers s = if s >= n then 0 else ((n - s - 1) / workers) + 1
 
-(* Task-lifecycle tracing (Obs.Pooltrace) rides the same domain-local
-   buffer pattern as Metrics/Flight: when the caller has tracing on,
-   workers inherit the trace origin, stamp each task around [f], feed
-   the queue-wait/run-time registry histograms, and their buffers are
-   drained at join. When tracing is off the per-task cost is one
-   captured-bool branch — the clock is never read. *)
-let run_traced ~worker ~stolen ~workers ~t_submit f i x =
-  let t0 = Unix.gettimeofday () in
-  let r = (match f x with y -> Ok y | exception e -> Error e) in
-  let t1 = Unix.gettimeofday () in
-  Obs.Pooltrace.record ~index:i ~shard:(i mod workers) ~worker ~stolen ~t_submit ~t0 ~t1;
-  r
+(* Task-lifecycle tracing: with a probe (the caller traces pool tasks),
+   each task is stamped around [f]; without one the per-task cost is one
+   branch on the captured option and the clock is never read. *)
+let run_task probe ~worker ~stolen f i x =
+  match probe with
+  | None -> ( match f x with y -> Ok y | exception e -> Error e)
+  | Some record ->
+    let t0 = Unix.gettimeofday () in
+    let r = (match f x with y -> Ok y | exception e -> Error e) in
+    record ~index:i ~worker ~stolen ~t0 ~t1:(Unix.gettimeofday ());
+    r
 
 let parallel_map ?emit ~workers f xs =
   let n = Array.length xs in
@@ -27,40 +26,23 @@ let parallel_map ?emit ~workers f xs =
   let ready = Array.init n (fun _ -> Atomic.make false) in
   let cursors = Array.init workers (fun _ -> Atomic.make 0) in
   let steals = Atomic.make 0 in
-  let parent_armed = Obs.Runtime.armed () in
-  let parent_profiling = Obs.Prof.profiling () in
-  let parent_collecting = Obs.Provenance.collecting () in
-  let parent_level = Obs.Runtime.level () in
-  let parent_flight = Obs.Flight.enabled () in
-  let trace_on = Obs.Pooltrace.enabled () in
-  let trace_origin, t_submit =
-    if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers else (0.0, 0.0)
-  in
+  let probe = Obs.Collector.task_probe ~jobs:n ~workers in
+  let stores = List.map (fun capture -> capture ()) Obs.Collector.all in
   let claim s =
     let pos = Atomic.fetch_and_add cursors.(s) 1 in
     if pos < shard_size ~n ~workers s then Some (s + (pos * workers)) else None
   in
   let run ~worker ~stolen i =
-    (if trace_on then
-       match run_traced ~worker ~stolen ~workers ~t_submit f i xs.(i) with
-       | Ok y -> results.(i) <- Some y
-       | Error e -> errors.(i) <- Some e
-     else
-       match f xs.(i) with
-       | y -> results.(i) <- Some y
-       | exception e -> errors.(i) <- Some e);
+    (match run_task probe ~worker ~stolen f i xs.(i) with
+    | Ok y -> results.(i) <- Some y
+    | Error e -> errors.(i) <- Some e);
     (* publish: the Atomic.set orders the plain result write before any
        reader that observes [ready], so the streaming loop below may read
        results.(i) without a lock once the flag is up *)
     Atomic.set ready.(i) true
   in
   let worker w () =
-    if parent_armed then Obs.Runtime.arm ();
-    if parent_profiling then Obs.Prof.enable ();
-    if parent_collecting then Obs.Provenance.enable_collect ();
-    Obs.Runtime.set_level parent_level;
-    Obs.Flight.set_enabled parent_flight;
-    if trace_on then Obs.Pooltrace.import ~origin:trace_origin;
+    List.iter (fun (s : Obs.Collector.worker) -> s.install ()) stores;
     let rec drain s stolen =
       match claim s with
       | Some i ->
@@ -74,16 +56,7 @@ let parallel_map ?emit ~workers f xs =
       if s <> w then drain s true
     done;
     (* hand the domain-local telemetry buffers to the collector *)
-    let profile = if parent_profiling then Obs.Prof.drain () else [] in
-    let reports =
-      if parent_collecting then Obs.Provenance.drain_reports () else []
-    in
-    ( Obs.Metrics.drain (),
-      profile,
-      reports,
-      Obs.Flight.drain (),
-      Obs.Pooltrace.drain_tasks (),
-      Obs.Histogram.drain () )
+    List.map (fun (s : Obs.Collector.worker) -> s.drain ()) stores
   in
   let domains = Array.init workers (fun w -> Domain.spawn (worker w)) in
   (* stream completed results to the caller in canonical index order while
@@ -102,24 +75,9 @@ let parallel_map ?emit ~workers f xs =
       end
       else Domain.cpu_relax ()
     done);
-  let buffers = Array.map Domain.join domains in
-  Array.iter
-    (fun (metrics, profile, reports, flight, tasks, hists) ->
-      Obs.Metrics.absorb metrics;
-      Obs.Prof.absorb profile;
-      Obs.Provenance.absorb_reports reports;
-      Obs.Flight.absorb flight;
-      Obs.Pooltrace.absorb_tasks tasks;
-      Obs.Histogram.absorb hists)
-    buffers;
-  if parent_armed then begin
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.jobs") n;
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.workers") workers;
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.steals") (Atomic.get steals);
-    Obs.Metrics.add
-      (Obs.Metrics.counter "engine.pool.local_pops")
-      (n - Atomic.get steals)
-  end;
+  (* absorb in worker order, so the parent's state never depends on scheduling *)
+  Array.iter (List.iter (fun absorb -> absorb ())) (Array.map Domain.join domains);
+  Obs.Collector.count_run ~jobs:n ~workers ~steals:(Atomic.get steals);
   Array.iter (function Some e -> raise e | None -> ()) errors;
   Array.map (function Some y -> y | None -> assert false) results
 
@@ -128,25 +86,15 @@ let parallel_map ?emit ~workers f xs =
    and index coverage as any parallel run. *)
 let serial_map ?emit f xs =
   let n = Array.length xs in
-  let trace_on = Obs.Pooltrace.enabled () in
-  let t_submit =
-    if trace_on then snd (Obs.Pooltrace.on_run ~jobs:n ~workers:1) else 0.0
-  in
+  let probe = Obs.Collector.task_probe ~jobs:n ~workers:1 in
   let results = Array.make n None in
   let errors = Array.make n None in
   for i = 0 to n - 1 do
-    if trace_on then (
-      match run_traced ~worker:0 ~stolen:false ~workers:1 ~t_submit f i xs.(i) with
-      | Ok y ->
-        results.(i) <- Some y;
-        (match emit with Some emit -> emit i y | None -> ())
-      | Error e -> errors.(i) <- Some e)
-    else
-      match f xs.(i) with
-      | y ->
-        results.(i) <- Some y;
-        (match emit with Some emit -> emit i y | None -> ())
-      | exception e -> errors.(i) <- Some e
+    match run_task probe ~worker:0 ~stolen:false f i xs.(i) with
+    | Ok y ->
+      results.(i) <- Some y;
+      (match emit with Some emit -> emit i y | None -> ())
+    | Error e -> errors.(i) <- Some e
   done;
   Array.iter (function Some e -> raise e | None -> ()) errors;
   Array.map (function Some y -> y | None -> assert false) results

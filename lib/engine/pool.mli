@@ -14,29 +14,25 @@
     itself — see [Netsim.Rng]), [map ~jobs:k f xs] returns bit-identical
     results for every [k]. The engine adds no hidden state of its own.
 
-    Telemetry: when the calling domain is armed ({!Obs.Runtime.armed}),
-    each worker arms its own domain, buffers metrics and span histograms
-    in its domain-local registry while it runs, and the pool flushes every
-    worker's buffer into the caller's registry at join (in worker order,
-    via {!Obs.Metrics.drain}/{!Obs.Metrics.absorb}). The profiler and
-    provenance buffers travel the same way: a profiling caller
-    ({!Obs.Prof.profiling}) gets every worker's folded-stack profile
-    merged via {!Obs.Prof.drain}/{!Obs.Prof.absorb}, and a collecting
-    caller ({!Obs.Provenance.collecting}) receives worker-emitted verdict
-    reports via {!Obs.Provenance.drain_reports}/[absorb_reports] (report
-    arrival order follows worker join order, not submission order).
-    {!Obs.Histogram} registries travel the same drain/absorb road. The
-    pool itself contributes [engine.pool.jobs], [engine.pool.workers],
-    [engine.pool.steals], and [engine.pool.local_pops] counters.
+    Telemetry: every Obs store keeps domain-local state, and the pool
+    carries it across with one mechanism, the {!Obs.Collector.all}
+    list. Before the workers spawn, each entry captures the caller's
+    settings (armed, level, profiling, collecting, flight, tracing);
+    each worker installs them before its first task and, after its
+    last, drains its buffers into closures the caller runs after join,
+    in worker order. The pool names no store itself, so adding a store
+    means adding one entry to that list. It also contributes
+    [engine.pool.jobs], [engine.pool.workers], [engine.pool.steals] and
+    [engine.pool.local_pops] counters when the caller is armed
+    ({!Obs.Collector.count_run}).
 
     Task tracing: when the caller has {!Obs.Pooltrace} enabled, every
     task (serial paths included) records a submit/start/finish lifecycle
-    sample tagged with its claiming worker and steal flag, mirrored into
-    the flight recorder, and feeds the [pool.queue_wait_us] /
-    [pool.run_us] registry histograms; worker buffers drain to the
-    caller at join. Disabled (the default), the per-task cost is a
-    single branch on a captured bool — the clock is never read — so the
-    determinism contract and the census-overhead budget are unaffected. *)
+    sample tagged with its claiming worker and steal flag
+    ({!Obs.Collector.task_probe}). Disabled (the default), the per-task
+    cost is a single branch on a captured option — the clock is never
+    read — so the determinism contract and the census-overhead budget
+    are unaffected. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], floored at 1: leave one

@@ -11,8 +11,6 @@
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 (* ---- seed specifications ---- *)
 
 let rec find_dup seen = function
@@ -56,16 +54,12 @@ let jstr j = match Json.to_str j with Some s -> s | None -> jfail "expected a st
 let jlist j = match Json.to_list j with Some l -> l | None -> jfail "expected an array"
 let jint j = int_of_float (jfloat j)
 
-let check_version j =
-  let got = jint (jmember "version" j) in
-  if got <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got })
+let envelope kind fields = Envelope.obj ~kind ~version:schema_version fields
+let check kind j = Envelope.check ~kind ~version:schema_version j
 
 let seed_run_to_json r =
-  Json.Obj
+  envelope "campaign_seed"
     [
-      ("kind", Json.Str "campaign_seed");
-      ("version", Json.Num (float_of_int schema_version));
       ("seed", Json.Num (float_of_int r.seed));
       ( "metrics",
         Json.Arr
@@ -78,7 +72,7 @@ let seed_run_to_json r =
     ]
 
 let seed_run_of_json j =
-  check_version j;
+  check "campaign_seed" j;
   let metric = function
     | Json.Arr [ k; v ] -> (jstr k, jfloat v)
     | _ -> jfail "metric is not a [name, value] pair"
@@ -94,10 +88,8 @@ let seed_run_of_json j =
   }
 
 let store_header ~experiment ~runs =
-  Json.Obj
+  envelope "campaign"
     [
-      ("kind", Json.Str "campaign");
-      ("version", Json.Num (float_of_int schema_version));
       ("experiment", Json.Str experiment);
       ("runs", Json.Num (float_of_int runs));
     ]
@@ -123,22 +115,19 @@ let read_store path =
   | [] -> jfail (path ^ " is empty")
   | header :: rest ->
     let hj = Json.of_string header in
-    (match Json.member "kind" hj with
-    | Some (Json.Str "campaign") -> ()
-    | _ -> jfail (path ^ " does not start with a campaign header line"));
-    check_version hj;
+    check "campaign" hj;
     let experiment = jstr (jmember "experiment" hj) in
     (* The store is streamed line by line, so a run killed mid-write
        leaves a truncated final record. That prefix is still a valid
        campaign: drop the torn tail with a warning and aggregate the
        readable runs. Only the final line gets this grace — a malformed
        line in the middle means real corruption and still raises, and a
-       version skew anywhere still raises Version_mismatch. *)
+       version skew anywhere still raises Envelope.Version_mismatch. *)
     let rec parse acc = function
       | [] -> List.rev acc
       | [ last ] -> (
-        match seed_run_of_json (Json.of_string last) with
-        | run -> List.rev (run :: acc)
+        match Json.of_string last with
+        | j -> List.rev (seed_run_of_json j :: acc)
         | exception Json.Parse_error _ ->
           Printf.eprintf
             "campaign: %s: final record is truncated (killed mid-write?); aggregating the \
@@ -384,10 +373,8 @@ let gate_result_to_json r =
     ]
 
 let summary_to_json ?gates summary =
-  Json.Obj
+  Envelope.obj ~kind:"campaign_summary" ~version:summary.version
     ([
-       ("kind", Json.Str "campaign_summary");
-       ("version", Json.Num (float_of_int summary.version));
        ("experiment", Json.Str summary.experiment);
        ("seeds", Json.Arr (List.map (fun s -> Json.Num (float_of_int s)) summary.seeds));
        ("cells", Json.Arr (List.map stat_to_json summary.cells));
@@ -424,7 +411,7 @@ let summary_to_json ?gates summary =
       | Some results -> [ ("gates", Json.Arr (List.map gate_result_to_json results)) ])
 
 let summary_of_json j =
-  check_version j;
+  check "campaign_summary" j;
   {
     version = schema_version;
     experiment = jstr (jmember "experiment" j);

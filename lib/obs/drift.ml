@@ -7,8 +7,6 @@
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 type point = {
   epoch : int;
   hosts : int;
@@ -190,10 +188,8 @@ let point_to_json p =
     ]
 
 let to_json l =
-  Json.Obj
+  Envelope.obj ~kind:"nebby_drift_ledger" ~version:l.version
     [
-      ("kind", Json.Str "nebby_drift_ledger");
-      ("version", Json.Num (float_of_int l.version));
       ("subject", Json.Str l.subject);
       ("points", Json.Arr (List.map point_to_json l.points));
     ]
@@ -224,13 +220,9 @@ let point_of_json j =
   }
 
 let of_json j =
-  (match Json.member "kind" j with
-  | Some (Json.Str "nebby_drift_ledger") -> ()
-  | _ -> shape_error "kind");
-  let got = get_int "version" j in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Envelope.check ~kind:"nebby_drift_ledger" ~version:schema_version j;
   {
-    version = got;
+    version = schema_version;
     subject = get_str "subject" j;
     points =
       (match Json.member "points" j with

@@ -19,12 +19,9 @@
 
     {b Stability guarantees.} Ledgers carry {!schema_version}. Within a
     version field names and meanings never change; any change bumps the
-    version, and readers raise {!Version_mismatch} on skew (the CLI maps
-    it to exit code 2). *)
+    version. A ledger is an {!Envelope} of kind ["nebby_drift_ledger"]. *)
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
 
 type point = {
   epoch : int;
@@ -108,8 +105,8 @@ val detect : ?params:params -> ledger -> event list
 
 val to_json : ledger -> Json.t
 val of_json : Json.t -> ledger
-(** Raises {!Version_mismatch} on schema skew, [Json.Parse_error] on a
-    malformed document. *)
+(** Raises {!Envelope.Version_mismatch} on schema skew, [Json.Parse_error]
+    on a malformed document. *)
 
 val event_to_json : event -> Json.t
 val event_of_json : Json.t -> event

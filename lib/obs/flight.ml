@@ -324,8 +324,6 @@ type dump = {
   events : event list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 let make_dump ~subject ~trigger ~attempt ~window_s events =
   { version = schema_version; subject; trigger; attempt; window_s; events }
 
@@ -347,10 +345,8 @@ let event_to_json e =
     ]
 
 let header_to_json d =
-  Json.Obj
+  Envelope.obj ~kind:"flight_dump" ~version:d.version
     [
-      ("kind", Json.Str "flight_dump");
-      ("version", Json.Num (float_of_int d.version));
       ("subject", Json.Str d.subject);
       ("trigger", Json.Str d.trigger);
       ("attempt", Json.Num (float_of_int d.attempt));
@@ -400,14 +396,9 @@ let dump_of_lines = function
   | [] -> shape_error "empty dump"
   | header :: rest ->
     let h = Json.of_string header in
-    (match Json.member "kind" h with
-    | Some (Json.Str "flight_dump") -> ()
-    | _ -> shape_error "header");
-    let got = int_of_float (get_num "version" h) in
-    if got <> schema_version then
-      raise (Version_mismatch { expected = schema_version; got });
+    Envelope.check ~kind:"flight_dump" ~version:schema_version h;
     {
-      version = got;
+      version = schema_version;
       subject = get_str "subject" h;
       trigger = get_str "trigger" h;
       attempt = int_of_float (get_num "attempt" h);

@@ -151,8 +151,6 @@ type dump = {
   events : event list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 val make_dump :
   subject:string -> trigger:string -> attempt:int -> window_s:float -> event list -> dump
 
@@ -167,13 +165,14 @@ val capture :
 (** Snapshot this domain's ring into a dump (default window 10 s). *)
 
 val dump_to_string : dump -> string
-(** Schema-versioned JSONL: one header line, then one line per event,
+(** Schema-versioned JSONL: one {!Envelope} header line of kind
+    ["flight_dump"], then one line per event,
     oldest first. Deterministic: field order is fixed and numbers render
     through [Json.number_to_string], so [dump_to_string (dump_of_string s) = s]. *)
 
 val dump_of_string : string -> dump
-(** Raises [Json.Parse_error] on malformed input and {!Version_mismatch}
-    on a schema skew. *)
+(** Raises [Json.Parse_error] on malformed input and
+    {!Envelope.Version_mismatch} on a schema skew. *)
 
 val write_dump : out_channel -> dump -> unit
 val read_dump : string -> dump

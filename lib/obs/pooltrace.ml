@@ -35,15 +35,19 @@ let state () = Domain.DLS.get key
 let enabled () = (state ()).enabled
 let set_enabled on = (state ()).enabled <- on
 
-let on_run ~jobs ~workers =
+let origin () =
   let s = state () in
   if s.origin = 0.0 then s.origin <- Unix.gettimeofday ();
+  s.origin
+
+let on_run ~jobs ~workers =
+  let s = state () in
+  let t_submit = Unix.gettimeofday () -. origin () in
   s.jobs <- s.jobs + jobs;
   if workers > s.workers then s.workers <- workers;
-  let t_submit = Unix.gettimeofday () -. s.origin in
   Flight.pool ~time:t_submit ~phase:"submit" ~a:(float_of_int jobs)
     ~b:(float_of_int workers) ~c:0.0;
-  (s.origin, t_submit)
+  t_submit
 
 let import ~origin =
   let s = state () in
@@ -188,8 +192,6 @@ let report tr =
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 let task_to_json t =
   Json.Obj
     [
@@ -206,10 +208,8 @@ let to_string (tr : t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Json.to_string
-       (Json.Obj
+       (Envelope.obj ~kind:"pool_trace" ~version:schema_version
           [
-            ("kind", Json.Str "pool_trace");
-            ("version", Json.Num (float_of_int schema_version));
             ("jobs", Json.Num (float_of_int tr.jobs));
             ("workers", Json.Num (float_of_int tr.workers));
             ("tasks", Json.Num (float_of_int (List.length tr.tasks)));
@@ -246,11 +246,7 @@ let of_string text =
   | [] -> shape_error "empty trace"
   | header :: rest ->
     let h = Json.of_string header in
-    (match Json.member "kind" h with
-    | Some (Json.Str "pool_trace") -> ()
-    | _ -> shape_error "header");
-    let got = int_of_float (get_num "version" h) in
-    if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+    Envelope.check ~kind:"pool_trace" ~version:schema_version h;
     {
       jobs = int_of_float (get_num "jobs" h);
       workers = int_of_float (get_num "workers" h);

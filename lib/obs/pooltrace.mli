@@ -43,16 +43,16 @@ type t = {
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Enable tracing in the calling domain. [Engine.Pool] propagates the
-    flag (and the trace origin) to its workers like the other Obs
-    arming flags. *)
+(** Enable tracing in the calling domain. Pool runs propagate the flag
+    (and the trace origin) to their workers through {!Collector}. *)
 
-val on_run : jobs:int -> workers:int -> float * float
-(** Caller side, at pool entry: stamp the trace origin on first use,
-    account the run's job count and fan-out, fire the [submit] flight
-    mark. Returns [(origin, t_submit)] — the absolute origin to hand
-    to workers and the run's submit time relative to it. Must only be
-    called while {!enabled}. *)
+val origin : unit -> float
+(** The calling domain's absolute trace origin, stamped on first use. *)
+
+val on_run : jobs:int -> workers:int -> float
+(** Caller side, at pool entry: account the run's job count and
+    fan-out, fire the [submit] flight mark, and return the run's submit
+    time relative to {!origin}. Must only be called while {!enabled}. *)
 
 val import : origin:float -> unit
 (** Worker side: adopt the caller's trace origin (and enable
@@ -110,15 +110,14 @@ val report : t -> string
 
 val schema_version : int
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_string : t -> string
-(** Schema-versioned JSONL: one header line, one line per task.
+(** Schema-versioned JSONL: one {!Envelope} header line of kind
+    ["pool_trace"], one line per task.
     [to_string (of_string s) = s]. *)
 
 val of_string : string -> t
-(** Raises [Json.Parse_error] on malformed input, {!Version_mismatch}
-    on schema skew. *)
+(** Raises [Json.Parse_error] on malformed input,
+    {!Envelope.Version_mismatch} on schema skew. *)
 
 val to_chrome_string : t -> string
 (** Chrome [trace_event] JSON (one complete ["X"] span per task,

@@ -20,8 +20,6 @@ type report = {
   candidates : candidate list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 let make ~subject ~label ~confidence ~margin ~features ~stages ~candidates =
   { version = schema_version; subject; label; confidence; margin; features;
     stages; candidates }
@@ -29,10 +27,8 @@ let make ~subject ~label ~confidence ~margin ~features ~stages ~candidates =
 (* serialization ---------------------------------------------------------- *)
 
 let to_json r =
-  Json.Obj
+  Envelope.obj ~kind:"provenance" ~version:r.version
     [
-      ("kind", Json.Str "provenance");
-      ("version", Json.Num (float_of_int r.version));
       ("subject", Json.Str r.subject);
       ("label", Json.Str r.label);
       ("confidence", Json.Num r.confidence);
@@ -94,15 +90,7 @@ let get_arr what j =
   | _ -> shape_error what
 
 let of_json j =
-  (* Version gate first: a report written by a different schema fails
-     loudly rather than being misread field by field. *)
-  let got =
-    match Json.member "version" j with
-    | Some (Json.Num v) -> int_of_float v
-    | _ -> raise (Version_mismatch { expected = schema_version; got = 0 })
-  in
-  if got <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got });
+  Envelope.check ~kind:"provenance" ~version:schema_version j;
   let features =
     List.map
       (fun f ->
@@ -146,7 +134,7 @@ let of_json j =
       (get_arr "candidates" j)
   in
   {
-    version = got;
+    version = schema_version;
     subject = get_str "subject" j;
     label = get_str "label" j;
     confidence = get_num "confidence" j;

@@ -74,17 +74,13 @@ let make ~name ~genome ~got ~verdict_class ~confidence ~margin ~failures ~signat
     original_specs;
   }
 
-exception Version_mismatch of { expected : int; got : int }
-
 (* ---- serialization ---- *)
 
 let num_i i = Obs.Json.Num (float_of_int i)
 
 let to_json t =
-  Obs.Json.Obj
+  Obs.Envelope.obj ~kind:"nebby_adversarial" ~version:t.version
     [
-      ("kind", Obs.Json.Str "nebby_adversarial");
-      ("version", num_i t.version);
       ("name", Obs.Json.Str t.name);
       ("genome", Genome.to_json t.genome);
       ("expected", Obs.Json.Str t.expected);
@@ -147,9 +143,7 @@ let jint name j =
   Ok (int_of_float x)
 
 let of_json j =
-  let* version = jint "version" j in
-  if version <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got = version });
+  Obs.Envelope.check ~kind:"nebby_adversarial" ~version:schema_version j;
   let* name = jstr "name" j in
   let* genome_json = jfield "genome" j in
   let* genome = Genome.of_json genome_json in
@@ -204,7 +198,7 @@ let of_json j =
   let* original_specs = jint "original_specs" search in
   Ok
     {
-      version;
+      version = schema_version;
       name;
       genome;
       expected;

@@ -8,9 +8,10 @@
     flight-recorder coverage signature that made it novel, and the search
     provenance (seed, budget, evaluation index, minimizer effort).
 
-    {b Stability.} Fixtures carry {!schema_version}; reading a fixture
-    whose version differs raises {!Version_mismatch} (the CLI maps it to
-    exit code 2). {!to_string} is deterministic — fixed field order,
+    {b Stability.} A fixture is an [Obs.Envelope] of kind
+    ["nebby_adversarial"] carrying {!schema_version}; reading one of
+    another kind or version raises (the CLI maps it to exit code 2).
+    {!to_string} is deterministic — fixed field order,
     numbers through the JSON writer — and round-trips byte-identically
     through {!of_string}. *)
 
@@ -73,15 +74,14 @@ val make :
     counterexample) or the genome fails [Genome.validate] — a fixture
     that cannot reproduce a failure must never reach disk. *)
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_string : t -> string
 (** One-line JSON plus trailing newline; deterministic. *)
 
 val of_string : string -> (t, string) result
-(** Round-trips with {!to_string}. Raises {!Version_mismatch} on a schema
-    skew (loud, like every other versioned reader); shape errors return
-    [Error]. *)
+(** Round-trips with {!to_string}. The envelope fails loudly, like every
+    other versioned reader: [Obs.Envelope.Version_mismatch] on a schema
+    skew, [Obs.Json.Parse_error] on a wrong kind or a missing or
+    non-integer version. Shape errors in the body return [Error]. *)
 
 val load : string -> (t, string) result
 (** Read one fixture file. *)

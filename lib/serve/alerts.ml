@@ -5,8 +5,6 @@
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 type signal =
   | Unknown_share
   | Mean_confidence
@@ -80,10 +78,8 @@ let rule_to_json r =
     ]
 
 let rules_to_json rules =
-  Obs.Json.Obj
+  Obs.Envelope.obj ~kind:"nebby_alert_rules" ~version:schema_version
     [
-      ("kind", Obs.Json.Str "nebby_alert_rules");
-      ("version", Obs.Json.Num (float_of_int schema_version));
       ("rules", Obs.Json.Arr (List.map rule_to_json rules));
     ]
 
@@ -110,11 +106,7 @@ let rule_of_json j =
   { name; signal; bound; limit; for_epochs }
 
 let rules_of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_alert_rules") -> ()
-  | _ -> shape_error "kind");
-  let got = int_of_float (get_num "version" j) in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Obs.Envelope.check ~kind:"nebby_alert_rules" ~version:schema_version j;
   match Obs.Json.member "rules" j with
   | Some (Obs.Json.Arr rs) ->
     let rules = List.map rule_of_json rs in
@@ -150,10 +142,8 @@ type transition = {
 }
 
 let transition_to_json tr =
-  Obs.Json.Obj
+  Obs.Envelope.obj ~kind:"nebby_alert" ~version:schema_version
     [
-      ("kind", Obs.Json.Str "nebby_alert");
-      ("version", Obs.Json.Num (float_of_int schema_version));
       ("epoch", Obs.Json.Num (float_of_int tr.epoch));
       ("rule", Obs.Json.Str tr.rule);
       ("action", Obs.Json.Str (match tr.action with Fire -> "fire" | Resolve -> "resolve"));
@@ -162,11 +152,7 @@ let transition_to_json tr =
     ]
 
 let transition_of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_alert") -> ()
-  | _ -> shape_error "transition kind");
-  let got = int_of_float (get_num "version" j) in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Obs.Envelope.check ~kind:"nebby_alert" ~version:schema_version j;
   {
     epoch = int_of_float (get_num "epoch" j);
     rule = get_str "rule" j;

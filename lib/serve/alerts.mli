@@ -12,13 +12,13 @@
     fields, drift-event magnitudes, commit-tick health counters), so
     the transition stream is byte-identical at any jobs count.
 
-    {b Stability guarantees.} Rule files and alert-log lines carry
-    {!schema_version}; readers raise {!Version_mismatch} on skew (the
-    CLI maps it to exit code 2). *)
+    {b Stability guarantees.} Rule files and alert-log lines are
+    [Obs.Envelope]s (kinds ["nebby_alert_rules"] and ["nebby_alert"])
+    carrying {!schema_version}; readers raise
+    [Obs.Envelope.Version_mismatch] on skew (the CLI maps it to exit
+    code 2). *)
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
 
 type signal =
   | Unknown_share  (** percent of the epoch's verdicts left Unclassified *)
@@ -52,9 +52,9 @@ val default_rules : rule list
 
 val rules_to_json : rule list -> Obs.Json.t
 val rules_of_json : Obs.Json.t -> rule list
-(** Raises {!Version_mismatch} on skew, [Obs.Json.Parse_error] on a
-    malformed document (unknown signal, missing bound, non-positive
-    [for_epochs]). *)
+(** Raises [Obs.Envelope.Version_mismatch] on skew,
+    [Obs.Json.Parse_error] on a malformed document (unknown signal,
+    missing bound, non-positive [for_epochs]). *)
 
 val load_rules : string -> rule list
 (** Read a rules file; same exceptions as {!rules_of_json}, plus

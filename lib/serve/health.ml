@@ -28,13 +28,9 @@ type snapshot = {
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 let to_json s =
-  Obs.Json.Obj
+  Obs.Envelope.obj ~kind:"nebby_serve_status" ~version:s.version
     [
-      ("kind", Obs.Json.Str "nebby_serve_status");
-      ("version", Obs.Json.Num (float_of_int s.version));
       ("phase", Obs.Json.Str s.phase);
       ("epoch", Obs.Json.Num (float_of_int s.epoch));
       ( "queue_depths",
@@ -73,13 +69,9 @@ let get_str what j =
   match Obs.Json.member what j with Some (Obs.Json.Str s) -> s | _ -> shape_error what
 
 let of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_serve_status") -> ()
-  | _ -> shape_error "kind");
-  let got = get_int "version" j in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Obs.Envelope.check ~kind:"nebby_serve_status" ~version:schema_version j;
   {
-    version = got;
+    version = schema_version;
     phase = get_str "phase" j;
     epoch = get_int "epoch" j;
     queue_depths =

@@ -40,12 +40,11 @@ type snapshot = {
 
 val schema_version : int
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_json : snapshot -> Obs.Json.t
 val of_json : Obs.Json.t -> snapshot
-(** Raises [Obs.Json.Parse_error] on shape mismatch, {!Version_mismatch}
-    on schema skew. *)
+(** The snapshot is an [Obs.Envelope] of kind ["nebby_serve_status"].
+    Raises [Obs.Json.Parse_error] on shape mismatch,
+    [Obs.Envelope.Version_mismatch] on schema skew. *)
 
 val to_prometheus : ?extra:string -> snapshot -> string
 (** Prometheus text exposition (gauges, counters, and per-priority

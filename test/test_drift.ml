@@ -190,7 +190,7 @@ let test_ledger_version_gate () =
     | _ -> Alcotest.fail "ledger json not an object"
   in
   match Obs.Drift.of_json skewed with
-  | exception Obs.Drift.Version_mismatch { expected; got } ->
+  | exception Obs.Envelope.Version_mismatch { expected; got; _ } ->
     Alcotest.(check int) "expected version" Obs.Drift.schema_version expected;
     Alcotest.(check int) "got skewed version" 99 got
   | _ -> Alcotest.fail "version skew must raise"
@@ -394,7 +394,7 @@ let test_alert_rules_json_and_gauges () =
             ("rules", Obs.Json.Arr []);
           ])
    with
-  | exception Serve.Alerts.Version_mismatch { got = 42; _ } -> ()
+  | exception Obs.Envelope.Version_mismatch { got = 42; _ } -> ()
   | _ -> Alcotest.fail "rules version skew must raise");
   (* transitions round-trip *)
   let tr =

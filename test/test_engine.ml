@@ -77,6 +77,111 @@ let test_worker_telemetry_flushed () =
         (Obs.Metrics.counter_value (Obs.Metrics.counter "engine.pool.jobs"));
       Obs.Metrics.reset ())
 
+(* Every store on the collector list, at once: each task records into
+   metrics, the profiler, provenance, the flight recorder (a Debug-level
+   kind, so the worker must inherit the level too), the pool trace and
+   the histogram registry. jobs=1 records straight into the caller, so
+   a store missing from Obs.Collector.all shows up as a difference at
+   jobs=2 or 4. *)
+let collected_state ~jobs =
+  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
+  Obs.Flight.clear ();
+  ignore (Obs.Pooltrace.drain ());
+  ignore (Obs.Provenance.drain_reports ());
+  let level = Obs.Runtime.level () in
+  Obs.Runtime.set_level Obs.Runtime.Debug;
+  Obs.Provenance.enable_collect ();
+  Obs.Pooltrace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Runtime.set_level level;
+      Obs.Provenance.disable_collect ();
+      Obs.Pooltrace.set_enabled false)
+    (fun () ->
+      let seen, profile =
+        Obs.Runtime.with_armed (fun () ->
+            Obs.Prof.record (fun () ->
+                Engine.Pool.map ~jobs
+                  (fun i ->
+                    Obs.Span.with_ ~name:"test.collector.span" (fun () ->
+                        Obs.Metrics.incr (Obs.Metrics.counter "test.collector.tasks");
+                        Obs.Histogram.observe (Obs.Histogram.get "test.collector.h")
+                          (float_of_int i);
+                        Obs.Flight.enqueue ~time:(float_of_int i) ~size:i ~queue_bytes:0;
+                        Obs.Provenance.emit
+                          (Obs.Provenance.make ~subject:(string_of_int i) ~label:"cubic"
+                             ~confidence:1.0 ~margin:1.0 ~features:[] ~stages:[]
+                             ~candidates:[]);
+                        (Obs.Runtime.armed (), Obs.Runtime.level () = Obs.Runtime.Debug)))
+                  (Array.init 12 Fun.id)))
+      in
+      let h = Obs.Histogram.get "test.collector.h" in
+      let ints xs = String.concat "," (List.map string_of_int xs) in
+      let state =
+        [
+          ( "runtime",
+            String.concat ","
+              (Array.to_list
+                 (Array.map
+                    (fun (armed, debug) -> Printf.sprintf "%b/%b" armed debug)
+                    seen)) );
+          ( "metrics",
+            string_of_int
+              (Obs.Metrics.counter_value (Obs.Metrics.counter "test.collector.tasks")) );
+          ( "prof",
+            match Obs.Prof.find profile "test.collector.span" with
+            | Some s -> string_of_int s.Obs.Prof.count
+            | None -> "none" );
+          ( "provenance",
+            String.concat ","
+              (List.sort compare
+                 (List.map
+                    (fun (r : Obs.Provenance.report) -> r.Obs.Provenance.subject)
+                    (Obs.Provenance.drain_reports ()))) );
+          ( "flight",
+            ints
+              (List.sort compare
+                 (List.filter_map
+                    (fun (e : Obs.Flight.event) ->
+                      if e.Obs.Flight.kind = Obs.Flight.Enqueue then
+                        Some (int_of_float e.Obs.Flight.time)
+                      else None)
+                    (Obs.Flight.drain ()))) );
+          ( "pooltrace",
+            ints
+              (List.sort compare
+                 (List.map
+                    (fun (t : Obs.Pooltrace.task) -> t.Obs.Pooltrace.index)
+                    (Obs.Pooltrace.drain ()).Obs.Pooltrace.tasks)) );
+          ( "histogram",
+            Printf.sprintf "%d %g [%s]" (Obs.Histogram.count h) (Obs.Histogram.sum h)
+              (String.concat ";"
+                 (List.map
+                    (fun (b, n) -> Printf.sprintf "%d:%d" b n)
+                    (Obs.Histogram.buckets h))) );
+        ]
+      in
+      Obs.Metrics.reset ();
+      Obs.Histogram.reset ();
+      state)
+
+let test_collector_list_carries_every_store () =
+  let reference = collected_state ~jobs:1 in
+  Alcotest.(check string) "the serial run recorded every task" "12"
+    (List.assoc "metrics" reference);
+  Alcotest.(check string) "the serial run saw armed Debug in every task"
+    (String.concat "," (List.init 12 (fun _ -> "true/true")))
+    (List.assoc "runtime" reference);
+  List.iter
+    (fun jobs ->
+      List.iter2
+        (fun (store, want) (_, got) ->
+          Alcotest.(check string) (Printf.sprintf "%s at jobs=%d equals jobs=1" store jobs)
+            want got)
+        reference (collected_state ~jobs))
+    [ 2; 4 ]
+
 (* ---------------- pool task tracing ---------------- *)
 
 let traced_run ~jobs n =
@@ -177,7 +282,7 @@ let test_trace_round_trip_and_report () =
   in
   (match Obs.Pooltrace.of_string skewed with
   | _ -> Alcotest.fail "expected Version_mismatch"
-  | exception Obs.Pooltrace.Version_mismatch { got; _ } ->
+  | exception Obs.Envelope.Version_mismatch { got; _ } ->
     Alcotest.(check int) "mismatch carries the skewed version"
       (Obs.Pooltrace.schema_version + 1) got);
   Obs.Histogram.reset ()
@@ -295,6 +400,8 @@ let suite =
     Alcotest.test_case "pool map_list preserves order" `Quick test_map_list;
     Alcotest.test_case "worker telemetry is flushed at join" `Quick
       test_worker_telemetry_flushed;
+    Alcotest.test_case "collector list carries every store at jobs 1/2/4" `Quick
+      test_collector_list_carries_every_store;
     Alcotest.test_case "pool trace covers every task at jobs=4" `Quick
       test_trace_covers_every_task;
     Alcotest.test_case "pool trace on the serial path" `Quick test_trace_serial_path;
