@@ -32,6 +32,22 @@ let baseline_file = ref "BENCH_baseline.json"
 
 let pf = Printf.printf
 
+let median xs =
+  let sorted = List.sort compare xs in
+  List.nth sorted (List.length sorted / 2)
+
+(* [alternate n a b]: [n] rounds of one [a] and one [b] sample, swapping
+   their order every other round so that a burst of host load lands on one
+   sample of each rather than on all of one; the rounds' (a, b) pairs. *)
+let alternate n a b =
+  List.init n (fun round ->
+      if round mod 2 = 0 then
+        let x = a () in
+        (x, b ())
+      else
+        let y = b () in
+        (a (), y))
+
 (* machine-readable results accumulated by experiments and written as a
    flat JSON object by --json FILE (keys are dotted metric names, values
    already-rendered JSON literals) *)
@@ -62,7 +78,8 @@ let date_stamp () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday
 
-(* the hot-path metrics the ledger guards; everything else in the JSON is
+(* the hot-path metrics the ledger guards, each recorded as the median of
+   5 alternating samples (see [alternate]); everything else in the JSON is
    informational *)
 let guarded_metrics = [ "census_serial_s"; "census_parallel_s"; "journal_replay_s" ]
 
@@ -908,19 +925,24 @@ let engine () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let serial, serial_s =
-    time (fun () -> Internet.Census.run ~jobs:1 ~control ~proto ~region websites)
-  in
+  (* the two guarded wall clocks are medians of 5 alternating samples *)
   let jobs = 4 in
-  let parallel, parallel_s =
+  let census jobs () =
     time (fun () -> Internet.Census.run ~jobs ~control ~proto ~region websites)
   in
+  let samples = alternate 5 (census 1) (census jobs) in
+  let serial = fst (fst (List.hd samples)) and parallel = fst (snd (List.hd samples)) in
+  if List.exists (fun ((s, _), (p, _)) -> s <> serial || p <> parallel) samples then
+    failwith "engine: census tallies differ between samples";
+  let serial_s = median (List.map (fun ((_, s), _) -> s) samples) in
+  let parallel_s = median (List.map (fun (_, (_, p)) -> p) samples) in
   let cores = Domain.recommended_domain_count () in
   let speedup = serial_s /. Float.max 1e-9 parallel_s in
   pf "census over %d sites (%s, %s vantage), %d core(s) available:\n" !sites "tcp"
     (Internet.Region.name region) cores;
-  pf "  serial   (jobs=1): %7.2f s\n" serial_s;
-  pf "  parallel (jobs=%d): %7.2f s  -> speedup %.2fx\n" jobs parallel_s speedup;
+  pf "  serial   (jobs=1): %7.2f s (median of 5)\n" serial_s;
+  pf "  parallel (jobs=%d): %7.2f s (median of 5)  -> speedup %.2fx\n" jobs parallel_s
+    speedup;
   if serial <> parallel then failwith "engine: parallel census diverged from serial";
   pf "  tallies bit-identical across worker counts: yes\n";
   (* a shared memo makes the second pass over the same sample all hits *)
@@ -989,22 +1011,8 @@ let engine () =
     Obs.Flight.set_enabled enabled;
     cpu_time labels_run
   in
-  let pairs =
-    List.init 7 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = timed false in
-          let on = timed true in
-          (off, on)
-        else
-          let on = timed true in
-          let off = timed false in
-          (off, on))
-  in
+  let pairs = alternate 7 (fun () -> timed false) (fun () -> timed true) in
   Obs.Flight.set_enabled true;
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (List.length sorted / 2)
-  in
   let flight_off_s = median (List.map fst pairs) in
   let flight_on_s = median (List.map snd pairs) in
   let flight_overhead =
@@ -1079,15 +1087,7 @@ let engine () =
     t
   in
   let trace_pairs =
-    List.init 7 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = timed_trace false in
-          let on = timed_trace true in
-          (off, on)
-        else
-          let on = timed_trace true in
-          let off = timed_trace false in
-          (off, on))
+    alternate 7 (fun () -> timed_trace false) (fun () -> timed_trace true)
   in
   let trace_off_s = median (List.map fst trace_pairs) in
   let trace_on_s = median (List.map snd trace_pairs) in
@@ -1135,13 +1135,12 @@ let serve () =
       epochs = 1;
     }
   in
-  let summary, serve_s = time (fun () -> Serve.Service.run ~control ~config:cfg ~store) in
-  Sys.remove store;
-  let jobs_per_s =
-    float_of_int summary.Serve.Service.measured /. Float.max 1e-9 serve_s
+  let serve_epoch () =
+    if Sys.file_exists store then Sys.remove store;
+    let summary, serve_s = time (fun () -> Serve.Service.run ~control ~config:cfg ~store) in
+    Sys.remove store;
+    (summary, serve_s)
   in
-  pf "service epoch over %d sites (jobs=%d): %.2f s -> %.1f commits/s\n"
-    cfg.Serve.Service.sites cfg.Serve.Service.jobs serve_s jobs_per_s;
   (* replay: reopening a large store is the cost a restarted service pays
      before its first measurement, so it is a guarded ceiling *)
   let replay_store = Filename.temp_file "bench_replay" ".journal" in
@@ -1154,13 +1153,29 @@ let serve () =
         "{\"label\":\"cubic\",\"confidence\":0.93,\"margin\":3.1,\"attempts\":1,\"failures\":[]}"
   done;
   Engine.Journal.close j;
-  let j, replay_s = time (fun () -> Engine.Journal.open_ replay_store) in
-  if Engine.Journal.length j <> records then failwith "serve: replay lost records";
+  let replay () =
+    let j, replay_s = time (fun () -> Engine.Journal.open_ replay_store) in
+    if Engine.Journal.length j <> records then failwith "serve: replay lost records";
+    Engine.Journal.close j;
+    replay_s
+  in
+  (* the guarded serve throughput and replay time are medians of 5
+     alternating samples *)
+  let samples = alternate 5 serve_epoch replay in
+  let summary = fst (fst (List.hd samples)) in
+  let serve_s = median (List.map (fun ((_, s), _) -> s) samples) in
+  let replay_s = median (List.map snd samples) in
+  let jobs_per_s =
+    float_of_int summary.Serve.Service.measured /. Float.max 1e-9 serve_s
+  in
+  pf "service epoch over %d sites (jobs=%d): %.2f s -> %.1f commits/s (median of 5)\n"
+    cfg.Serve.Service.sites cfg.Serve.Service.jobs serve_s jobs_per_s;
+  let j = Engine.Journal.open_ replay_store in
   let (), compact_s = time (fun () -> Engine.Journal.compact j) in
   Engine.Journal.close j;
   Sys.remove replay_store;
-  pf "journal replay of %d records: %.3f s; compaction: %.3f s\n" records replay_s
-    compact_s;
+  pf "journal replay of %d records: %.3f s (median of 5); compaction: %.3f s\n"
+    records replay_s compact_s;
   (* alert-engine overhead: the same small serve workload with the full
      default rule set armed vs disarmed, alternating order, median of
      per-pair CPU-time ratios (same method and rationale as the
@@ -1171,10 +1186,6 @@ let serve () =
     let t0 = Sys.time () in
     f ();
     Sys.time () -. t0
-  in
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (List.length sorted / 2)
   in
   let alert_run armed =
     let store = Filename.temp_file "bench_alert" ".journal" in
@@ -1193,17 +1204,7 @@ let serve () =
                    }
                  ~store)))
   in
-  let alert_pairs =
-    List.init 3 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = alert_run false in
-          let on = alert_run true in
-          (off, on)
-        else
-          let on = alert_run true in
-          let off = alert_run false in
-          (off, on))
-  in
+  let alert_pairs = alternate 3 (fun () -> alert_run false) (fun () -> alert_run true) in
   let alert_off_s = median (List.map fst alert_pairs) in
   let alert_on_s = median (List.map snd alert_pairs) in
   let alert_overhead =

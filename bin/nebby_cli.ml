@@ -67,22 +67,32 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Training keeps only the classes with at least two vectors, so fewer
-   than two runs per CCA leaves nothing to fit: a usage error, not a
-   crash. Each subcommand keeps its own default. *)
-let training_runs_arg
-    ?(doc = "Training runs per CCA (more runs, tighter clusters, slower start).") default =
+(* Training counts go through Training.config, the one place that decides
+   what is trainable: a count it rejects (fewer than two runs per CCA) is a
+   usage error reported against its flag, not a crash. Each subcommand
+   keeps its own default. *)
+let count_conv check =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 2 -> Ok n
-    | Some n ->
-      Error (Printf.sprintf "%d run(s) per CCA cannot fit a model; need at least 2" n)
+    | Some n -> Result.map (fun _ -> n) (check n)
     | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)
   in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let training_runs_arg
+    ?(doc = "Training runs per CCA (more runs, tighter clusters, slower start).") default =
   Arg.(
     value
-    & opt (conv' (parse, Format.pp_print_int)) default
+    & opt (count_conv (fun n -> Nebby.Training.config ~runs_per_cca:n ())) default
     & info [ "training-runs" ] ~docv:"N" ~doc)
+
+(* The training configuration of a subcommand: --training-runs over the
+   default QUIC runs and seed. *)
+let training_arg default =
+  Term.(
+    term_result' ~usage:true
+      (const (fun runs -> Nebby.Training.config ~runs_per_cca:runs ())
+      $ training_runs_arg default))
 
 let max_attempts_arg =
   let doc = "Measurement attempts before giving up." in
@@ -125,8 +135,6 @@ let resolve_seed_spec ~cmd ?count ?seed_list ~base () =
   | Error msg ->
     Printf.eprintf "nebby %s: %s\n" cmd msg;
     None
-
-let train runs = Nebby.Training.train ~runs_per_cca:runs ()
 
 let default_telemetry_file = "nebby-telemetry.jsonl"
 
@@ -196,6 +204,38 @@ let log_level_arg =
 let note fmt =
   if Obs.Runtime.level () = Obs.Runtime.Quiet then Printf.ifprintf stderr fmt
   else Printf.eprintf fmt
+
+(* The one way a subcommand gets its control models. A control is a pure
+   function of its training configuration and of the code that trains it,
+   so it is loaded from the on-disk cache (Nebby.Control_cache, keyed by
+   the configuration and stamped with this executable's digest) when this
+   binary has trained it before, and trained and stored otherwise. Hits
+   and misses are reported at --log-level debug only: the output is the
+   same either way. *)
+let binary_digest =
+  lazy (try Some (Digest.to_hex (Digest.file Sys.executable_name)) with Sys_error _ -> None)
+
+let control_of training =
+  let binary = Lazy.force binary_digest in
+  let dir = if binary = None then None else Nebby.Control_cache.default_dir () in
+  let control, outcome =
+    Nebby.Control_cache.acquire ~dir ~binary:(Option.value ~default:"" binary) training
+  in
+  if Obs.Runtime.level () = Obs.Runtime.Debug then begin
+    let entry =
+      match dir with
+      | Some dir -> Nebby.Control_cache.entry_path ~dir training
+      | None -> "(no cache directory)"
+    in
+    match outcome with
+    | Nebby.Control_cache.Hit -> Printf.eprintf "nebby: control cache hit: %s\n%!" entry
+    | Nebby.Control_cache.Miss { reason; store_error } ->
+      Printf.eprintf "nebby: control cache miss (%s): trained, %s\n%!" reason
+        (match store_error with
+        | None -> "stored at " ^ entry
+        | Some e -> "not stored: " ^ e)
+  end;
+  control
 
 let write_file path content =
   let oc = open_out path in
@@ -318,16 +358,16 @@ let measure_cmd =
       & opt float Nebby.Measurement.default_config.flight_confidence
       & info [ "flight-confidence" ] ~docv:"X" ~doc)
   in
-  let run cca proto noise seed runs max_attempts log_level flight flight_confidence
+  let run cca proto noise seed training max_attempts log_level flight flight_confidence
       telemetry chrome provenance prof folded prof_json =
     Obs.Runtime.set_level log_level;
-    let control = train runs in
-    let plugins = Nebby.Classifier.extended_plugins control in
     let config =
       { Nebby.Measurement.default_config with max_attempts; flight_confidence }
     in
     let report =
       with_profiling ~prof ~folded ~json:prof_json (fun () ->
+          let control = control_of training in
+          let plugins = Nebby.Classifier.extended_plugins control in
           Obs.Telemetry.record ?jsonl:telemetry ?chrome (fun () ->
               Nebby.Measurement.measure ~control ~plugins ~proto ~noise ~seed ~config
                 ~subject:cca ~make_cca:(Cca.Registry.create cca) ()))
@@ -372,7 +412,7 @@ let measure_cmd =
   let doc = "Measure a simulated server and classify its CCA." in
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(
-      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ training_runs_arg 10
+      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ training_arg 10
       $ max_attempts_arg $ log_level_arg $ flight_arg $ flight_confidence_arg
       $ telemetry_arg $ chrome_arg $ provenance_arg $ prof_table_arg $ prof_folded_arg
       $ prof_json_arg)
@@ -411,8 +451,8 @@ let census_cmd =
     let doc = "Print the pool scheduler report (wait/run histograms, per-domain table)." in
     Arg.(value & flag & info [ "pool-report" ] ~doc)
   in
-  let run sites region proto seed runs jobs log_level provenance pool_trace pool_report prof
-      folded prof_json =
+  let run sites region proto seed training jobs log_level provenance pool_trace pool_report
+      prof folded prof_json =
     Obs.Runtime.set_level log_level;
     match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
     | None ->
@@ -420,7 +460,6 @@ let census_cmd =
         (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
       exit_usage
     | Some region ->
-      let control = train runs in
       let websites = Internet.Population.generate ~n:sites ~seed () in
       let jobs = resolve_jobs jobs in
       let print_tally tally =
@@ -450,6 +489,7 @@ let census_cmd =
         end
       in
       with_profiling ~prof ~folded ~json:prof_json (fun () ->
+          let control = control_of training in
           match provenance with
           | None ->
             print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
@@ -482,7 +522,7 @@ let census_cmd =
   let doc = "Run a mini census over the synthetic website population." in
   Cmd.v (Cmd.info "census" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_runs_arg 10
+      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_arg 10
       $ jobs_arg $ log_level_arg $ provenance_arg $ pool_trace_arg $ pool_report_arg
       $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
 
@@ -490,8 +530,8 @@ let accuracy_cmd =
   let trials_arg =
     Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Trials per CCA.")
   in
-  let run trials runs =
-    let control = train runs in
+  let run trials training =
+    let control = control_of training in
     let plugins = Nebby.Classifier.extended_plugins control in
     let total_ok = ref 0 and total = ref 0 in
     List.iter
@@ -512,7 +552,7 @@ let accuracy_cmd =
     exit_ok
   in
   let doc = "Evaluate classification accuracy over the kernel CCAs (Table 3)." in
-  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ training_runs_arg 10)
+  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ training_arg 10)
 
 let chaos_cmd =
   let names_conv = Arg.(some (list string)) in
@@ -538,7 +578,7 @@ let chaos_cmd =
       & info [ "dump-plans" ]
           ~doc:"Print the seeded fault plans of the suite as JSON and exit.")
   in
-  let run ccas families seed count seed_list runs max_attempts proto jobs log_level
+  let run ccas families seed count seed_list training max_attempts proto jobs log_level
       telemetry chrome list_families dump_plans =
     Obs.Runtime.set_level log_level;
     if list_families then begin
@@ -576,7 +616,7 @@ let chaos_cmd =
         match resolve_seed_spec ~cmd:"chaos" ?count ?seed_list ~base:seed () with
         | None -> exit_usage
         | Some seeds ->
-          let control = train runs in
+          let control = control_of training in
           let config = { Nebby.Measurement.default_config with max_attempts } in
           let matrices =
             Obs.Telemetry.record ?jsonl:telemetry ?chrome (fun () ->
@@ -613,7 +653,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ ccas_arg $ families_arg $ seed_arg $ seeds_count_arg $ seed_list_arg
-      $ training_runs_arg 10 $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg
+      $ training_arg 10 $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg
       $ telemetry_arg $ chrome_arg $ list_families_arg $ dump_plans_arg)
 
 (* `fuzz` — coverage-guided adversarial search (lib/search): breed fault
@@ -677,21 +717,15 @@ let fuzz_cmd =
         exit_usage
       end
       else begin
-        (* fixtures pin their own training configuration; train each
-           distinct triple once *)
+        (* fixtures pin their own training configuration; acquire each
+           distinct one once *)
         let controls = Hashtbl.create 4 in
-        let control_for (f : Search.Fixture.t) =
-          let key =
-            (f.Search.Fixture.training_runs, f.Search.Fixture.training_quic_runs,
-             f.Search.Fixture.training_seed)
-          in
+        let control_for training =
+          let key = Nebby.Training.config_key training in
           match Hashtbl.find_opt controls key with
           | Some c -> c
           | None ->
-            let runs, quic_runs, seed = key in
-            let c =
-              Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed ()
-            in
+            let c = control_of training in
             Hashtbl.add controls key c;
             c
         in
@@ -706,21 +740,30 @@ let fuzz_cmd =
             | Error e ->
               Printf.eprintf "nebby fuzz: %s: %s\n" path e;
               incr broken
-            | Ok fx ->
-              let status, e = Search.Fuzzer.replay ~control:(control_for fx) fx in
-              Printf.printf "%-48s %s (got %s, %s)\n" file
-                (Search.Fuzzer.replay_status_label status)
-                e.Search.Fuzzer.got
-                (Search.Fixture.class_label e.Search.Fuzzer.verdict_class);
-              (match status with
-              | Search.Fuzzer.Reproduced -> ()
-              | Search.Fuzzer.Fixed ->
-                Printf.eprintf
-                  "nebby fuzz: %s now classifies correctly — remove the fixture or \
-                   regenerate it\n"
-                  file;
-                incr stale
-              | Search.Fuzzer.Changed -> incr stale))
+            | Ok fx -> (
+              match
+                Nebby.Training.config ~runs_per_cca:fx.Search.Fixture.training_runs
+                  ~quic_runs_per_cca:fx.Search.Fixture.training_quic_runs
+                  ~seed:fx.Search.Fixture.training_seed ()
+              with
+              | Error e ->
+                Printf.eprintf "nebby fuzz: %s: training: %s\n" path e;
+                incr broken
+              | Ok training ->
+                let status, e = Search.Fuzzer.replay ~control:(control_for training) fx in
+                Printf.printf "%-48s %s (got %s, %s)\n" file
+                  (Search.Fuzzer.replay_status_label status)
+                  e.Search.Fuzzer.got
+                  (Search.Fixture.class_label e.Search.Fuzzer.verdict_class);
+                (match status with
+                | Search.Fuzzer.Reproduced -> ()
+                | Search.Fuzzer.Fixed ->
+                  Printf.eprintf
+                    "nebby fuzz: %s now classifies correctly — remove the fixture or \
+                     regenerate it\n"
+                    file;
+                  incr stale
+                | Search.Fuzzer.Changed -> incr stale)))
           files;
         if !broken > 0 then exit_usage
         else if !stale > 0 then exit_unclassified
@@ -759,7 +802,13 @@ let fuzz_cmd =
               training_runs;
             }
           in
-          let control = Search.Fuzzer.control_of_config config in
+          let control =
+            match Search.Fuzzer.training_config config with
+            | Ok training -> control_of training
+            | Error msg ->
+              Printf.eprintf "nebby fuzz: %s\n" msg;
+              exit exit_usage
+          in
           let corpus_oc =
             Option.map
               (fun path ->
@@ -863,18 +912,28 @@ let golden_training_runs_arg =
 
 let training_quic_runs_arg =
   let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
-  Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (count_conv (fun n -> Nebby.Training.config ~quic_runs_per_cca:n ())) 2
+    & info [ "training-quic-runs" ] ~docv:"N" ~doc)
 
 let training_seed_arg =
   let doc = "Training seed (default: the golden-pinned 7)." in
   Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
 
+let golden_training_arg =
+  Term.(
+    term_result' ~usage:true
+      (const (fun runs quic_runs seed ->
+           Nebby.Training.config ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed ())
+      $ golden_training_runs_arg $ training_quic_runs_arg $ training_seed_arg))
+
 (* `explain TARGET` resolves its target in order: an existing file (a
    golden fixture to replay, a single provenance record, or a provenance
    JSONL written by --provenance), a CCA registry name (fresh measurement
    with provenance), then a website name in the synthetic population.
-   Fixture replay retrains at the golden-pinned configuration by default
-   (seed 7, 4 runs/CCA, 2 QUIC runs) so the verdict reproduces the
+   Fixture replay uses the control of the golden-pinned configuration by
+   default (seed 7, 4 runs/CCA, 2 QUIC runs) so the verdict reproduces the
    committed expectations bit for bit. *)
 let explain_cmd =
   let target_arg =
@@ -894,14 +953,10 @@ let explain_cmd =
       value & opt string "Ohio"
       & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point for website-name targets.")
   in
-  let run target training_runs training_quic_runs training_seed sites region proto noise
-      seed log_level provenance prof folded prof_json =
+  let run target training sites region proto noise seed log_level provenance prof folded
+      prof_json =
     Obs.Runtime.set_level log_level;
-    let control =
-      lazy
-        (Nebby.Training.train ~runs_per_cca:training_runs
-           ~quic_runs_per_cca:training_quic_runs ~seed:training_seed ())
-    in
+    let control = lazy (control_of training) in
     let render_reports reports =
       List.iteri
         (fun i r ->
@@ -983,9 +1038,9 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ target_arg $ golden_training_runs_arg $ training_quic_runs_arg
-      $ training_seed_arg $ sites_arg $ region_arg $ proto_arg $ noise_arg $ seed_arg
-      $ log_level_arg $ provenance_arg $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
+      const run $ target_arg $ golden_training_arg $ sites_arg $ region_arg $ proto_arg
+      $ noise_arg $ seed_arg $ log_level_arg $ provenance_arg $ prof_table_arg
+      $ prof_folded_arg $ prof_json_arg)
 
 (* `report TARGET` renders a self-contained HTML measurement report
    (inline SVG, no scripts). The target resolves like `explain`'s: a
@@ -1014,8 +1069,8 @@ let report_cmd =
   in
   let prof_arg =
     let doc =
-      "Profile the work that produces the report (training plus the replay or \
-       measurement) and embed the per-stage waterfall in the HTML."
+      "Profile the work that produces the report (training or loading the control, \
+       plus the replay or measurement) and embed the per-stage waterfall in the HTML."
     in
     Arg.(value & flag & info [ "prof" ] ~doc)
   in
@@ -1041,18 +1096,13 @@ let report_cmd =
     Obs.Flight.make_dump ~subject ~trigger:"replay" ~attempt:1 ~window_s:!span
       (List.rev !events)
   in
-  let run target training_runs training_quic_runs training_seed proto noise seed log_level
-      provenance_from prof out =
+  let run target training proto noise seed log_level provenance_from prof out =
     Obs.Runtime.set_level log_level;
-    let control =
-      lazy
-        (Nebby.Training.train ~runs_per_cca:training_runs
-           ~quic_runs_per_cca:training_quic_runs ~seed:training_seed ())
-    in
-    (* --prof profiles the work that produced the report (training plus
-       the replay or measurement) and embeds the waterfall; a plain dump
-       file involves no instrumented work, so its profile is empty and
-       the renderer omits the section. *)
+    let control = lazy (control_of training) in
+    (* --prof profiles the work that produced the report (acquiring the
+       control, plus the replay or measurement) and embeds the waterfall;
+       a plain dump file involves no instrumented work, so its profile is
+       empty and the renderer omits the section. *)
     let profiled = ref None in
     let with_prof f =
       if not prof then f ()
@@ -1157,8 +1207,8 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ target_arg $ golden_training_runs_arg $ training_quic_runs_arg
-      $ training_seed_arg $ proto_arg $ noise_arg $ seed_arg $ log_level_arg
+      const run $ target_arg $ golden_training_arg $ proto_arg $ noise_arg $ seed_arg
+      $ log_level_arg
       $ provenance_from_arg $ prof_arg $ out_arg)
 
 (* `campaign` fans one experiment across N seeds, streams per-seed
@@ -1314,7 +1364,7 @@ let campaign_cmd =
         | _ -> g)
       gates
   in
-  let run experiment seed count seed_list jobs runs sites region proto log_level out
+  let run experiment seed count seed_list jobs training sites region proto log_level out
       summary_path html_path from bench_json no_gates pool_trace_file drift_store
       accuracy_floor ci_ceiling =
     Obs.Runtime.set_level log_level;
@@ -1346,7 +1396,7 @@ let campaign_cmd =
                 let experiment =
                   match experiment_result with Ok e -> e | Error _ -> assert false
                 in
-                let control = train runs in
+                let control = control_of training in
                 let oc = open_out out in
                 let stored =
                   Fun.protect
@@ -1422,7 +1472,7 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
       const run $ experiment_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ training_runs_arg 10 $ sites_arg $ region_arg $ proto_arg $ log_level_arg
+      $ training_arg 10 $ sites_arg $ region_arg $ proto_arg $ log_level_arg
       $ out_arg $ summary_arg $ html_arg $ from_arg $ bench_json_arg $ no_gates_arg
       $ pool_trace_file_arg $ drift_store_arg $ accuracy_floor_arg $ ci_ceiling_arg)
 
@@ -1551,7 +1601,7 @@ let serve_cmd =
              deduplicated while a breach persists). Implies the built-in default rules \
              when $(b,--alerts) is not given.")
   in
-  let run sites region proto seed runs jobs epochs store deadline high_water batch
+  let run sites region proto seed training jobs epochs store deadline high_water batch
       max_entries confidence_floor margin_floor kill compact_only status_file migrate
       alerts alert_log telemetry log_level =
     Obs.Runtime.set_level log_level;
@@ -1586,7 +1636,7 @@ let serve_cmd =
             | Some path -> read_input path Serve.Alerts.load_rules
             | None -> if alert_log <> None then Serve.Alerts.default_rules else []
           in
-          let control = train runs in
+          let control = control_of training in
           let config =
             {
               Serve.Service.sites;
@@ -1646,7 +1696,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_runs_arg 10
+      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_arg 10
       $ jobs_arg $ epochs_arg $ store_arg $ deadline_arg $ high_water_arg $ batch_arg
       $ max_entries_arg $ confidence_floor_arg $ margin_floor_arg $ kill_arg
       $ compact_only_arg $ status_file_arg $ migrate_arg $ alerts_arg $ alert_log_arg

@@ -23,3 +23,4 @@ module Classifier = Classifier
 module Training = Training
 module Measurement = Measurement
 module Chaos = Chaos
+module Control_cache = Control_cache

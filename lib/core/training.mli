@@ -28,6 +28,17 @@ type bundle = {
       (** single-profile fallback models, same order as [profiles] *)
 }
 
+(** The knobs a control is a deterministic function of. Built only by
+    {!config}, which validates it once; its {!config_key} is also the key
+    of the on-disk control cache ([Control_cache]). *)
+type config = private {
+  runs_per_cca : int;
+  quic_runs_per_cca : int;
+  seed : int;
+  profiles : Profile.t list;
+  page_bytes : int;
+}
+
 type control = {
   profiles : Profile.t list;  (** profile order used for concatenation *)
   tcp : bundle;
@@ -60,6 +71,43 @@ val train :
     profile and fits the models. [transform] is applied to every BiF series
     before the pipeline — used by the metric ablation to train on degraded
     (e.g. per-RTT cwnd-style) traces. *)
+
+val config :
+  ?runs_per_cca:int ->
+  ?quic_runs_per_cca:int ->
+  ?profiles:Profile.t list ->
+  ?seed:int ->
+  ?page_bytes:int ->
+  unit ->
+  (config, string) result
+(** Same defaults as {!train}. [Error] names the offending knob: fewer than
+    2 TCP or QUIC runs per CCA (a model class needs at least two
+    vectors), no profile, or a non-positive page size. *)
+
+val train_config : config -> control
+(** {!train} at a validated configuration. *)
+
+val config_key : config -> string
+(** Canonical, human-readable rendering of every field (floats as exact
+    bit patterns): equal keys train equal controls. *)
+
+(** {1 Codec}
+
+    One schema-envelope kind, ["nebby_control"] (version 1), carrying the
+    whole control: profiles, both bundles with their GNB class means and
+    variances, scalers, thresholds, samples and degree histograms. Every
+    float is written as its 64-bit pattern in hex, so the round trip is
+    bit-exact — including -0.0, infinities and NaN payloads. *)
+
+val schema_kind : string
+val schema_version : int
+
+val to_json : control -> Obs.Json.t
+
+val of_json : Obs.Json.t -> control
+(** Inverse of {!to_json}. Raises [Obs.Json.Parse_error] on a wrong kind
+    or a malformed body, and [Obs.Envelope.Version_mismatch] on another
+    schema version. *)
 
 val default : unit -> control
 (** Cached deterministic training run used by the default classifier. *)

@@ -18,18 +18,17 @@ let at_clamped t time f = at t (Float.max time t.clock) f
 let run ?until t =
   let horizon = match until with None -> infinity | Some h -> h in
   let executed = ref 0 in
+  let q = t.queue in
   let rec loop () =
-    match Event_queue.peek_time t.queue with
-    | None -> ()
-    | Some time when time > horizon -> ()
-    | Some _ ->
-      (match Event_queue.pop t.queue with
-      | None -> ()
-      | Some (time, f) ->
+    if not (Event_queue.is_empty q) then begin
+      let time = Event_queue.min_time q in
+      if not (time > horizon) then begin
         t.clock <- time;
-        f ();
+        (Event_queue.pop_exn q) ();
         incr executed;
-        loop ())
+        loop ()
+      end
+    end
   in
   (* expose the virtual clock so spans opened inside simulated code also
      record virtual durations; restored on exit to tolerate nested sims *)

@@ -153,8 +153,8 @@ let default_config =
     training_seed = 7;
   }
 
-let control_of_config config =
-  Nebby.Training.train ~runs_per_cca:config.training_runs
+let training_config config =
+  Nebby.Training.config ~runs_per_cca:config.training_runs
     ~quic_runs_per_cca:config.training_quic_runs ~seed:config.training_seed ()
 
 (* ---- the search loop ---- *)

@@ -59,8 +59,8 @@ val default_config : config
 (** budget 256, jobs 1, targets [Cca.Registry.kernel_ccas], 2 attempts,
     floors 0.6/0.5, batch 8, training 3/2 runs at seed 7. *)
 
-val control_of_config : config -> Nebby.Training.control
-(** [Training.train] with the config's training knobs. *)
+val training_config : config -> (Nebby.Training.config, string) result
+(** The config's training knobs, validated by [Training.config]. *)
 
 type finding = {
   fixture : Fixture.t;

@@ -53,6 +53,19 @@ let predict ?(margin = 2.0) m x =
   | [ (label, _) ] -> Some label
   | (best, lb) :: (_, runner_up) :: _ -> if lb -. runner_up < margin then None else Some best
 
+let to_classes m = m.models
+
+let of_classes = function
+  | [] -> invalid_arg "Gnb.of_classes: no classes"
+  | first :: _ as models ->
+    let dims = Array.length first.means in
+    List.iter
+      (fun c ->
+        if Array.length c.means <> dims || Array.length c.vars <> dims then
+          invalid_arg "Gnb.of_classes: dimension mismatch")
+      models;
+    { dims; models }
+
 let class_stats m label =
   match List.find_opt (fun c -> c.label = label) m.models with
   | None -> raise Not_found

@@ -6,6 +6,10 @@
 
 type model
 
+type class_model = { label : string; means : float array; vars : float array }
+(** One class's fitted Gaussian: per-dimension means and (floored)
+    variances. *)
+
 val fit : ?var_floor:float -> (string * float array list) list -> model
 (** [fit classes] trains from per-class lists of feature vectors. All
     vectors must share one dimension; each class needs at least 2 samples.
@@ -24,6 +28,15 @@ val predict : ?margin:float -> model -> float array -> string option
 (** Most likely class, or [None] when the runner-up is within [margin] nats
     (default 2.0) — the paper's "equally high probabilities" rule that maps
     ambiguous segments to Unknown. *)
+
+val to_classes : model -> class_model list
+(** The fitted parameters as plain data, in class order — what a codec
+    stores. [of_classes (to_classes m)] classifies exactly like [m]. *)
+
+val of_classes : class_model list -> model
+(** Rebuilds a model from {!to_classes} output.
+    @raise Invalid_argument when there is no class or the classes'
+    means and variances do not share one dimension. *)
 
 val class_stats : model -> string -> (float * float) array
 (** Per-dimension (mean, std) for a class, for inspection/plotting

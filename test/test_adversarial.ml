@@ -10,19 +10,11 @@
 let fixture_dir =
   List.find_opt Sys.file_exists [ "adversarial"; "test/adversarial" ]
 
-(* One control per training configuration, shared between the search
-   tests and the fixture replay harness (fixtures pin their own training
-   triple; the search tests use the fuzzer default, which matches the
-   committed fixtures, so the model trains once). *)
-let controls : (int * int * int, Nebby.Training.control) Hashtbl.t = Hashtbl.create 4
-
-let control_for_key ((runs, quic_runs, seed) as key) =
-  match Hashtbl.find_opt controls key with
-  | Some c -> c
-  | None ->
-    let c = Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed () in
-    Hashtbl.add controls key c;
-    c
+(* The search tests and the fixture replay harness share controls through
+   [Controls] (fixtures pin their own training triple; the search tests use
+   the fuzzer default, which matches the committed fixtures, so the model
+   trains once). *)
+let control_for_key (runs, quic_runs, seed) = Controls.get ~runs ~quic_runs ~seed
 
 let search_control =
   lazy

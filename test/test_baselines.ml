@@ -1,6 +1,6 @@
 (* Tests for the baseline tools (Gordon, CAAI) and the Table-1 matrix. *)
 
-let control = lazy (Nebby.Training.train ~runs_per_cca:10 ~quic_runs_per_cca:5 ())
+let control = lazy (Controls.get ~runs:10 ~quic_runs:5 ~seed:7)
 
 let test_caai_measures_window_based () =
   List.iter

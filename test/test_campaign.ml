@@ -439,7 +439,7 @@ let test_map_stream_error_skips_emit () =
 (* ---- the campaign runner end to end ---- *)
 
 let small_control =
-  lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ~seed:7 ())
+  lazy (Controls.get ~runs:4 ~quic_runs:2 ~seed:7)
 
 let test_runner_deterministic_across_jobs () =
   let control = Lazy.force small_control in

@@ -226,7 +226,7 @@ let test_vivace_rejects_large_swings () =
 (* ---- combination rules ---- *)
 
 let test_extended_plugin_list () =
-  let control = Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 () in
+  let control = Controls.get ~runs:4 ~quic_runs:2 ~seed:7 in
   Alcotest.(check int) "one built-in rate-based plugin" 1
     (List.length (Nebby.Classifier.default_plugins control));
   Alcotest.(check int) "three extensions" 4

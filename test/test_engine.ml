@@ -8,7 +8,7 @@ let region = Internet.Region.Ohio
 (* A deliberately small control: these tests pin engine behaviour, not
    classification accuracy. *)
 let control =
-  lazy (Nebby.Training.train ~runs_per_cca:3 ~quic_runs_per_cca:2 ~seed:11 ())
+  lazy (Controls.get ~runs:3 ~quic_runs:2 ~seed:11)
 
 let websites = lazy (Internet.Population.generate ~n:32 ~seed:5 ())
 

@@ -6,7 +6,7 @@ let profile = Nebby.Profile.delay_50ms
 
 (* Smaller than the main suite's fixture: these tests only need *some*
    trained control, not a well-calibrated one. *)
-let control = lazy (Nebby.Training.train ~runs_per_cca:5 ~quic_runs_per_cca:2 ())
+let control = lazy (Controls.get ~runs:5 ~quic_runs:2 ~seed:7)
 
 let run_with ?faults ~seed cca =
   Nebby.Testbed.run ~seed ?faults ~profile ~make_cca:(Cca.Registry.create cca) ()

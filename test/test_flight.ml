@@ -4,7 +4,7 @@
    Prof.folded frame sanitization, and deterministic HTML rendering. *)
 
 let small_control =
-  lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ~seed:7 ())
+  lazy (Controls.get ~runs:4 ~quic_runs:2 ~seed:7)
 
 (* every test starts from a pristine recorder in this domain *)
 let reset () =

@@ -35,8 +35,8 @@ let golden_dir =
    determinism of training itself. *)
 let control =
   lazy
-    (Nebby.Training.train ~runs_per_cca:training_runs_per_cca
-       ~quic_runs_per_cca:training_quic_runs_per_cca ~seed:golden_seed ())
+    (Controls.get ~runs:training_runs_per_cca ~quic_runs:training_quic_runs_per_cca
+       ~seed:golden_seed)
 
 let jfloat j = match Obs.Json.to_float j with
   | Some x -> x

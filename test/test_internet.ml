@@ -1,7 +1,7 @@
 (* Tests for the synthetic Internet: population, regions, QUIC stacks,
    heavy hitters, census machinery, and the browser model. *)
 
-let control = lazy (Nebby.Training.train ~runs_per_cca:10 ~quic_runs_per_cca:5 ())
+let control = lazy (Controls.get ~runs:10 ~quic_runs:5 ~seed:7)
 
 let test_population_deterministic () =
   let a = Internet.Population.generate ~n:100 ~seed:9 () in

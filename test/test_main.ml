@@ -22,4 +22,5 @@ let () =
       ("drift", Test_drift.suite);
       ("adversarial", Test_adversarial.suite);
       ("envelope", Test_envelope.suite);
+      ("ctl_cache", Test_control_cache.suite);
     ]

@@ -2,7 +2,7 @@
    pipeline, the classifiers, and end-to-end measurement. *)
 
 (* One shared (lazily built) training fixture keeps the suite fast. *)
-let control = lazy (Nebby.Training.train ~runs_per_cca:10 ~quic_runs_per_cca:5 ())
+let control = lazy (Controls.get ~runs:10 ~quic_runs:5 ~seed:7)
 
 let profile = Nebby.Profile.delay_50ms
 let rtt = Nebby.Profile.rtt profile

@@ -74,6 +74,38 @@ let prop_queue_sorted =
       in
       drain neg_infinity)
 
+(* Equal-time events leave in push order even when pushes interleave with
+   pops and the heap grows past its initial capacity of 16: each pop must
+   match a reference model that removes the least (time, push index). *)
+let prop_queue_fifo_across_growth =
+  QCheck.Test.make ~name:"event queue: equal times pop in push order across growth"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 17 300) (int_range (-1) 3))
+    (fun ops ->
+      let q = Netsim.Event_queue.create () in
+      let model = ref [] in
+      let pushed = ref 0 in
+      let pop_ok () =
+        match List.sort compare !model with
+        | [] -> Netsim.Event_queue.is_empty q
+        | ((time, idx) as least) :: _ ->
+          model := List.filter (( <> ) least) !model;
+          Netsim.Event_queue.min_time q = time && Netsim.Event_queue.pop_exn q = idx
+      in
+      List.for_all
+        (fun op ->
+          if op < 0 then pop_ok ()
+          else begin
+            let time = float_of_int op in
+            Netsim.Event_queue.push q ~time !pushed;
+            model := (time, !pushed) :: !model;
+            incr pushed;
+            Netsim.Event_queue.length q = List.length !model
+          end)
+        ops
+      && List.for_all (fun _ -> pop_ok ()) !model
+      && Netsim.Event_queue.is_empty q)
+
 (* ---- Sim ---- *)
 
 let test_sim_ordering () =
@@ -239,6 +271,7 @@ let suite =
     Alcotest.test_case "event queue pops in time order" `Quick test_queue_ordering;
     Alcotest.test_case "event queue breaks ties FIFO" `Quick test_queue_fifo_ties;
     QCheck_alcotest.to_alcotest prop_queue_sorted;
+    QCheck_alcotest.to_alcotest prop_queue_fifo_across_growth;
     Alcotest.test_case "sim executes events in order" `Quick test_sim_ordering;
     Alcotest.test_case "sim respects the run horizon" `Quick test_sim_horizon;
     Alcotest.test_case "sim rejects scheduling in the past" `Quick test_sim_no_past_scheduling;

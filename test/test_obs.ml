@@ -2,7 +2,7 @@
    trees, the silent no-sink fast path, JSONL round-trips, and the event
    taxonomy a full measurement emits. *)
 
-let small_control = lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ())
+let small_control = lazy (Controls.get ~runs:4 ~quic_runs:2 ~seed:7)
 
 (* ---- metrics ---- *)
 

@@ -4,7 +4,7 @@
    performed by Engine.Pool at join. *)
 
 let small_control =
-  lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ~seed:7 ())
+  lazy (Controls.get ~runs:4 ~quic_runs:2 ~seed:7)
 
 let sample_report =
   Obs.Provenance.make ~subject:"test-subject" ~label:"cubic" ~confidence:0.9 ~margin:12.5

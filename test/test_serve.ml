@@ -10,7 +10,7 @@ let region = Internet.Region.Ohio
 
 (* small control: these tests pin service behaviour, not accuracy *)
 let control =
-  lazy (Nebby.Training.train ~runs_per_cca:3 ~quic_runs_per_cca:2 ~seed:11 ())
+  lazy (Controls.get ~runs:3 ~quic_runs:2 ~seed:11)
 
 let with_store f =
   let path = Filename.temp_file "serve" ".journal" in

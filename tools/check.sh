@@ -5,6 +5,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every temporary path below is held in one of these variables and
+# removed on exit, however the script ends.
+cleanup() {
+  for path in ${tmp1:-} ${tmp2:-} ${prov_tmp:-} ${flight_tmp:-} ${pool_tmp:-} \
+    ${golden_tmp:-} ${camp_tmp:-} ${serve_tmp:-} ${drift_tmp:-} ${fuzz_tmp:-} \
+    ${skew_tmp:-} ${cache_tmp:-} ${cw_tmp:-}; do
+    rm -rf "$path"
+  done
+}
+trap cleanup EXIT
+
+# A hermetic control cache: every CLI run below stores and loads its
+# trained controls here (cold on the first run of each training
+# configuration, warm after), never in the user's ~/.cache.
+cache_tmp=$(mktemp -d)
+export XDG_CACHE_HOME="$cache_tmp"
+
 echo "== dune build @all (warnings are errors) =="
 out=$(dune build @all 2>&1) || {
   printf '%s\n' "$out"
@@ -35,7 +52,6 @@ cli=_build/default/bin/nebby_cli.exe
 smoke="--ccas newreno,bbr --families link_flap,burst_loss,truncate_capture,flow_reset \
   --training-runs 3 --max-attempts 2 --seed 1234"
 tmp1=$(mktemp) tmp2=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp2"' EXIT
 "$cli" chaos $smoke >"$tmp1" || {
   echo "check.sh: chaos smoke exited non-zero" >&2
   exit 1
@@ -74,7 +90,6 @@ echo "== pool trace gate (census --pool-trace; report/chrome render deterministi
 # the Chrome export, the HTML page — must be a pure function of it
 # (byte-identical across renders).
 pool_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$pool_tmp"' EXIT
 "$cli" census $census --jobs 4 --pool-trace "$pool_tmp/trace.jsonl" >/dev/null || {
   echo "check.sh: census --pool-trace exited non-zero" >&2
   exit 1
@@ -129,7 +144,6 @@ echo "== golden fixtures regenerate bit-identically =="
 # pipeline's numerics changed (regenerate and review the diff if it is
 # intentional).
 golden_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
 dune exec tools/gen_golden.exe -- "$golden_tmp" >/dev/null
 if ! diff -r test/golden "$golden_tmp"; then
   echo "check.sh: golden fixtures are stale (dune exec tools/gen_golden.exe)" >&2
@@ -152,7 +166,6 @@ if ! diff tools/expect/explain_cubic.txt "$tmp1"; then
   exit 1
 fi
 prov_tmp=$(mktemp --suffix=.jsonl)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
 "$cli" explain test/golden/cubic.json --provenance "$prov_tmp" >/dev/null || {
   echo "check.sh: explain --provenance exited non-zero" >&2
   exit 1
@@ -184,7 +197,6 @@ fi
 # A forced low-confidence measurement must produce a flight dump that
 # renders byte-identically across two runs.
 flight_tmp=$(mktemp --suffix=.jsonl)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
 "$cli" measure --cca cubic --training-runs 3 --seed 1234 \
   --flight-confidence 2 --flight "$flight_tmp" >/dev/null || true
 if [ ! -s "$flight_tmp" ]; then
@@ -205,9 +217,50 @@ if ! cmp -s "$tmp1" "$tmp2"; then
   exit 1
 fi
 
+echo "== control cache gate (cold and warm runs print identical output) =="
+# A control loaded from the cache must behave exactly like a freshly
+# trained one. Each command runs once with an empty cache (it trains and
+# stores the entry) and once warm (it loads it), at --log-level debug so
+# stderr reports the miss and the hit; everything it writes must be
+# byte-identical across the two runs.
+cw_tmp=$(mktemp -d)
+# cold_warm NAME COMMAND...: COMMAND writes its files under $cw_tmp/run
+cold_warm() {
+  name=$1
+  shift
+  for pass in cold warm; do
+    if [ "$pass" = cold ]; then rm -rf "$XDG_CACHE_HOME/nebby"; fi
+    mkdir -p "$cw_tmp/run"
+    "$@" --log-level debug >"$cw_tmp/run/stdout" 2>"$cw_tmp/$name.$pass.err" || {
+      cat "$cw_tmp/$name.$pass.err" >&2
+      echo "check.sh: $name exited non-zero with a $pass cache" >&2
+      exit 1
+    }
+    mv "$cw_tmp/run" "$cw_tmp/$name.$pass"
+  done
+  if ! grep -q "control cache miss" "$cw_tmp/$name.cold.err" \
+    || ! grep -q "control cache hit" "$cw_tmp/$name.warm.err"; then
+    cat "$cw_tmp/$name.cold.err" "$cw_tmp/$name.warm.err" >&2
+    echo "check.sh: $name did not train cold and load warm" >&2
+    exit 1
+  fi
+  if ! diff -r "$cw_tmp/$name.cold" "$cw_tmp/$name.warm"; then
+    echo "check.sh: $name output differs between a cold and a warm control cache" >&2
+    exit 1
+  fi
+}
+cold_warm census "$cli" census $census --jobs 1
+cold_warm serve "$cli" serve --sites 8 --training-runs 3 --seed 1234 --epochs 1 --jobs 1 \
+  --store "$cw_tmp/run/serve.journal"
+cold_warm explain "$cli" explain test/golden/cubic.json
+cold_warm report "$cli" report test/golden/cubic.json -o "$cw_tmp/run/report.html"
+echo "(census, serve, explain and report byte-identical cold vs warm)"
+
 echo "== bench engine + baseline gate (census serial vs parallel, bench.json) =="
-# --baseline writes BENCH_<date>.json and compares the guarded census
-# timings against the committed BENCH_baseline.json; a >25% slowdown
+# --baseline writes BENCH_<date>.json and compares the guarded timings
+# (census serial/parallel, journal replay, serve throughput; each the
+# median of 5 alternating samples, so one burst of host load cannot trip
+# the gate) against the committed BENCH_baseline.json; a >25% slowdown
 # fails the gate (exit 1). Without a committed baseline it prints a hint
 # and passes.
 dune exec bench/main.exe -- engine serve --sites 16 --training-runs 3 \
@@ -218,7 +271,6 @@ echo "== campaign determinism gate (4 seeds, jobs=4 must match jobs=1) =="
 # byte-identical per-seed stores, summary JSON, and dashboard HTML — the
 # statistical layer inherits the engine's determinism contract end to end.
 camp_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp"' EXIT
 campaign="campaign --seeds 4 --training-runs 3 --bench-json bench.json"
 "$cli" $campaign --jobs 1 --out "$camp_tmp/runs1.jsonl" \
   --summary "$camp_tmp/sum1.json" --html "$camp_tmp/dash1.html" >/dev/null || {
@@ -276,7 +328,6 @@ echo "== serve kill-and-resume gate (SIGKILL mid-census, resume, byte-identical)
 # and resumed from its journal must converge to a final store that is
 # byte-identical to an uninterrupted run's.
 serve_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp"' EXIT
 serve="serve --sites 8 --training-runs 3 --seed 1234 --jobs 4"
 "$cli" $serve --store "$serve_tmp/ref.journal" >/dev/null || {
   echo "check.sh: reference serve run exited non-zero" >&2
@@ -369,7 +420,6 @@ echo "== drift determinism gate (migrating census: ledger/dashboard/alert log by
 # function of it: analyzing the same store twice, and the two stores
 # against each other, must all agree byte for byte.
 drift_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp" "$drift_tmp"' EXIT
 # same store basename in both dirs: the ledger's subject quotes it
 mkdir -p "$drift_tmp/j1" "$drift_tmp/j4"
 mig="serve --sites 8 --training-runs 3 --seed 1234 --epochs 3 \
@@ -436,7 +486,6 @@ echo "== fuzz smoke (adversarial search: jobs-independent, fixtures replay) =="
 # summaries, corpus JSONL, and minimized fixture files — and must find at
 # least one counterexample at this budget (exit 1 means it found none).
 fuzz_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp" "$fuzz_tmp"' EXIT
 fuzz="fuzz --budget 24 --seed 1234 --target cubic,vegas,yeah --log-level quiet"
 "$cli" $fuzz --jobs 1 --out "$fuzz_tmp/fx1" --corpus "$fuzz_tmp/c1.jsonl" >"$tmp1" || {
   echo "check.sh: fuzz --jobs 1 smoke found no counterexample (or crashed)" >&2
@@ -476,7 +525,6 @@ echo "== reader-skew gate (future, non-integer and foreign schema headers exit 2
 # must make the consuming subcommand exit 2 (never 0, never 3) with a
 # message naming the kind it expected.
 skew_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp" "$drift_tmp" "$fuzz_tmp" "$skew_tmp"' EXIT
 printf '%s\n' '{"kind":"nebby_alert_rules","version":1,"rules":[]}' >"$skew_tmp/rules.json"
 printf '%s\n' '{"kind":"nebby_alert","version":1,"epoch":1,"rule":"r","action":"fire","value":1,"limit":0}' \
   >"$skew_tmp/alerts.jsonl"
@@ -524,5 +572,29 @@ skew nebby_alert "$skew_tmp/alerts.jsonl" "$cli" drift "$drift_tmp/j1/m.journal"
 skew nebby_serve_status "$serve_tmp/h1.status.json" "$cli" stats --live
 skew nebby_adversarial "$fixture" "$cli" fuzz --log-level quiet --replay
 echo "(9 formats x 3 skews: exit 2, kind named)"
+# Training configurations too small to fit a model are usage errors, from
+# a flag or from a fixture that pins one (never exit 3).
+for n in 0 1; do
+  for cmd in explain report; do
+    rc=0
+    "$cli" $cmd test/golden/cubic.json --training-quic-runs "$n" \
+      >/dev/null 2>"$skew_tmp/err" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "training-quic-runs" "$skew_tmp/err"; then
+      cat "$skew_tmp/err" >&2
+      echo "check.sh: $cmd --training-quic-runs $n exited $rc (want 2 naming the flag)" >&2
+      exit 1
+    fi
+  done
+done
+mkdir -p "$skew_tmp/quic1"
+sed 's/"quic_runs":[0-9]*/"quic_runs":1/' "$fixture" >"$skew_tmp/quic1/fixture.json"
+rc=0
+"$cli" fuzz --log-level quiet --replay "$skew_tmp/quic1" >/dev/null 2>"$skew_tmp/err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "$skew_tmp/quic1/fixture.json" "$skew_tmp/err"; then
+  cat "$skew_tmp/err" >&2
+  echo "check.sh: a fixture pinning 1 QUIC training run exited $rc (want 2 naming it)" >&2
+  exit 1
+fi
+echo "(QUIC training runs below 2: exit 2 from the flag and from a fixture)"
 
 echo "check.sh: all green"
