@@ -23,11 +23,10 @@ let seeds_count = ref None
 let seed_list = ref None
 let history_mode = ref false
 
-(* perf-regression ledger: --baseline writes BENCH_<date>.json and compares
-   the guarded hot-path metrics against a committed baseline file, exiting
-   nonzero when any of them slows down by more than --tolerance *)
+(* perf-regression ledger: --baseline writes BENCH_<date>.json and runs
+   the ledger's gates (see [ledger_gates]) against a committed baseline
+   file, exiting nonzero when any of them fails *)
 let baseline_mode = ref false
-let tolerance = ref 0.25
 let baseline_file = ref "BENCH_baseline.json"
 
 let pf = Printf.printf
@@ -78,24 +77,30 @@ let date_stamp () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday
 
-(* the hot-path metrics the ledger guards, each recorded as the median of
-   5 alternating samples (see [alternate]); everything else in the JSON is
-   informational *)
-let guarded_metrics = [ "census_serial_s"; "census_parallel_s"; "journal_replay_s" ]
+(* The ledger's gates. [ratio(k)] is current/baseline (skipped unless both
+   ledgers record [k] and the baseline is positive), [present(k)] is 1 when
+   the current run records a [k] the baseline has (skipped when it lacks
+   it), a bare [k] is the current value. The hot-path timings (medians of
+   5 alternating samples) and the serve throughput are ratio-gated at 25%;
+   scheduler metrics are too host-noisy for that, so they are
+   presence-gated; the pool tracer and the alert engine may cost at most
+   5% CPU time, baseline or not. Everything else is informational. *)
+let tolerance = 0.25
 
-(* throughput floors: for these, *lower* than baseline is the regression
-   direction (ratio < 1 - tolerance fails) *)
-let guarded_floor_metrics = [ "serve_jobs_per_s" ]
-
-(* scheduler metrics are too host-noisy for ratio gates, so they are
-   presence-gated instead: once the committed baseline records one, a
-   current run that fails to produce it is a regression (the tracing
-   path broke), but its value is informational *)
-let presence_metrics =
-  [
-    "pool_queue_wait_p99_us"; "pool_queue_wait_p99_us_ub"; "pool_steal_frac";
-    "pool_busy_frac_mean"; "census_trace_overhead_frac"; "serve_alert_overhead_frac";
-  ]
+let ledger_gates =
+  let ratio op bound key = Obs.Gate.make ~name:key ("ratio(" ^ key ^ ")") op bound in
+  List.map (ratio Ceiling (1.0 +. tolerance))
+    [ "census_serial_s"; "census_parallel_s"; "journal_replay_s" ]
+  @ [ ratio Floor (1.0 -. tolerance) "serve_jobs_per_s" ]
+  @ List.map
+      (fun key -> Obs.Gate.make ~name:key ("present(" ^ key ^ ")") Floor 1.0)
+      [
+        "pool_queue_wait_p99_us"; "pool_queue_wait_p99_us_ub"; "pool_steal_frac";
+        "pool_busy_frac_mean"; "census_trace_overhead_frac"; "serve_alert_overhead_frac";
+      ]
+  @ List.map
+      (fun key -> Obs.Gate.make ~absent:Fail ~name:key key Ceiling 0.05)
+      [ "census_trace_overhead_frac"; "serve_alert_overhead_frac" ]
 
 let read_json_file path =
   let ic = open_in path in
@@ -103,60 +108,47 @@ let read_json_file path =
   close_in ic;
   Obs.Json.of_string s
 
+let ledger_lookup ~baseline ~current signal =
+  let num json key = Option.bind (Obs.Json.member key json) Obs.Json.to_float in
+  match Obs.Gate.call signal with
+  | Some ("ratio", key) -> (
+    match (num baseline key, num current key) with
+    | Some base, Some cur when base > 0.0 -> Some (cur /. base)
+    | _ -> None)
+  | Some ("present", key) ->
+    Option.map (fun _ -> if num current key = None then 0.0 else 1.0) (num baseline key)
+  | Some _ -> None
+  | None -> num current signal
+
 let check_baseline current_path =
-  if not (Sys.file_exists !baseline_file) then begin
-    pf "[no %s found: baseline gate skipped - commit %s as %s to arm it]\n" !baseline_file
-      current_path !baseline_file;
+  let baseline =
+    if Sys.file_exists !baseline_file then read_json_file !baseline_file
+    else begin
+      pf "[no %s found: baseline gates skipped - commit %s as %s to arm them]\n"
+        !baseline_file current_path !baseline_file;
+      Obs.Json.Obj []
+    end
+  in
+  let results =
+    Obs.Gate.evaluate ledger_gates
+      (ledger_lookup ~baseline ~current:(read_json_file current_path))
+  in
+  List.iter (fun r -> pf "%s" (Obs.Gate.line r)) results;
+  let failures =
+    List.fold_left
+      (fun acc (r : Obs.Gate.result) ->
+        if r.status = Fail && not (List.mem r.gate.name acc) then r.gate.name :: acc
+        else acc)
+      [] results
+    |> List.rev
+  in
+  if failures = [] then begin
+    pf "[baseline gate: ok (tolerance %.0f%%)]\n" (100.0 *. tolerance);
     0
   end
   else begin
-    let baseline = read_json_file !baseline_file in
-    let current = read_json_file current_path in
-    let lookup json key = Option.bind (Obs.Json.member key json) Obs.Json.to_float in
-    let check ~floor key =
-      match (lookup baseline key, lookup current key) with
-      | Some base, Some cur when base > 0.0 ->
-        let ratio = cur /. base in
-        let regressed =
-          if floor then ratio < 1.0 -. !tolerance else ratio > 1.0 +. !tolerance
-        in
-        pf "  %-24s baseline %10.3f  current %10.3f  ratio %.2fx (%s)%s\n" key base cur
-          ratio
-          (if floor then "floor" else "ceiling")
-          (if regressed then "  << REGRESSION" else "");
-        if regressed then Some key else None
-      | _ ->
-        pf "  %-24s missing in baseline or current run - skipped\n" key;
-        None
-    in
-    let failures =
-      List.filter_map (check ~floor:false) guarded_metrics
-      @ List.filter_map (check ~floor:true) guarded_floor_metrics
-      @ List.filter_map
-          (fun key ->
-            match (lookup baseline key, lookup current key) with
-            | Some _, None ->
-              pf "  %-24s present in baseline, MISSING in current run  << REGRESSION\n" key;
-              Some key
-            | Some _, Some cur ->
-              pf "  %-24s %10.3f (presence gate: informational value)\n" key cur;
-              None
-            | None, _ ->
-              pf "  %-24s not in baseline - presence gate skipped\n" key;
-              None)
-          presence_metrics
-    in
-    if failures = [] then begin
-      pf "[baseline gate: ok (tolerance %.0f%%)]\n" (100.0 *. !tolerance);
-      0
-    end
-    else begin
-      pf "[baseline gate: FAILED - %s regressed by more than %.0f%% vs %s]\n"
-        (String.concat ", " failures)
-        (100.0 *. !tolerance)
-        !baseline_file;
-      1
-    end
+    pf "[baseline gate: FAILED - %s vs %s]\n" (String.concat ", " failures) !baseline_file;
+    1
   end
 
 (* --history: fold every committed BENCH_*.json ledger into one trend
@@ -1383,9 +1375,6 @@ let () =
       parse selected rest
     | "--baseline" :: rest ->
       baseline_mode := true;
-      parse selected rest
-    | "--tolerance" :: x :: rest ->
-      tolerance := float_of_string x;
       parse selected rest
     | "--baseline-file" :: f :: rest ->
       baseline_file := f;

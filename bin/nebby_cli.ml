@@ -86,6 +86,24 @@ let training_runs_arg
     & opt (count_conv (fun n -> Nebby.Training.config ~runs_per_cca:n ())) default
     & info [ "training-runs" ] ~docv:"N" ~doc)
 
+(* --sites, shared by every subcommand that builds a population: a
+   negative size is a usage error, not a crash. *)
+let sites_arg ~doc default =
+  let non_negative n =
+    if n < 0 then Error (Printf.sprintf "%d sites: a population cannot be negative" n)
+    else Ok n
+  in
+  Arg.(value & opt (count_conv non_negative) default & info [ "sites" ] ~docv:"N" ~doc)
+
+(* --region, shared like --sites: an unknown vantage point is a usage
+   error that lists the known ones. *)
+let region_arg ~doc =
+  let regions = List.map (fun r -> (Internet.Region.name r, r)) Internet.Region.all in
+  Arg.(
+    value
+    & opt (enum regions) (List.assoc "Ohio" regions)
+    & info [ "region" ] ~docv:"REGION" ~doc)
+
 (* The training configuration of a subcommand: --training-runs over the
    default QUIC runs and seed. *)
 let training_arg default =
@@ -433,12 +451,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg)
 
 let census_cmd =
-  let sites_arg =
-    Arg.(value & opt int 100 & info [ "sites" ] ~docv:"N" ~doc:"Number of websites to measure.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
-  in
   let pool_trace_arg =
     let doc =
       "Record the scheduler's task lifecycle (submit/steal/start/finish per site) and \
@@ -454,75 +466,71 @@ let census_cmd =
   let run sites region proto seed training jobs log_level provenance pool_trace pool_report
       prof folded prof_json =
     Obs.Runtime.set_level log_level;
-    match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
-    | None ->
-      Printf.eprintf "nebby census: unknown region %s (expected one of %s)\n" region
-        (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-      exit_usage
-    | Some region ->
-      let websites = Internet.Population.generate ~n:sites ~seed () in
-      let jobs = resolve_jobs jobs in
-      let print_tally tally =
-        let total = List.fold_left (fun acc (_, n) -> acc + n) 0 tally in
-        Printf.printf "%-14s %8s %8s\n" "variant" "sites" "share";
-        List.iter
-          (fun (label, n) ->
-            Printf.printf "%-14s %8d %7.1f%%\n" label n
-              (100.0 *. float_of_int n /. float_of_int total))
-          tally
-      in
-      let tracing = pool_trace <> None || pool_report in
-      if tracing then Obs.Pooltrace.set_enabled true;
-      let finish_trace () =
-        if tracing then begin
-          let trace = Obs.Pooltrace.drain () in
-          Option.iter
-            (fun path ->
-              write_file path (Obs.Pooltrace.to_string trace);
-              Printf.printf "pool trace : %s (%d tasks)\n" path
-                (List.length trace.Obs.Pooltrace.tasks))
-            pool_trace;
-          if pool_report then begin
-            print_newline ();
-            print_string (Obs.Pooltrace.report trace)
-          end
+    let websites = Internet.Population.generate ~n:sites ~seed () in
+    let jobs = resolve_jobs jobs in
+    let print_tally tally =
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 tally in
+      Printf.printf "%-14s %8s %8s\n" "variant" "sites" "share";
+      List.iter
+        (fun (label, n) ->
+          Printf.printf "%-14s %8d %7.1f%%\n" label n
+            (100.0 *. float_of_int n /. float_of_int total))
+        tally
+    in
+    let tracing = pool_trace <> None || pool_report in
+    if tracing then Obs.Pooltrace.set_enabled true;
+    let finish_trace () =
+      if tracing then begin
+        let trace = Obs.Pooltrace.drain () in
+        Option.iter
+          (fun path ->
+            write_file path (Obs.Pooltrace.to_string trace);
+            Printf.printf "pool trace : %s (%d tasks)\n" path
+              (List.length trace.Obs.Pooltrace.tasks))
+          pool_trace;
+        if pool_report then begin
+          print_newline ();
+          print_string (Obs.Pooltrace.report trace)
         end
-      in
-      with_profiling ~prof ~folded ~json:prof_json (fun () ->
-          let control = control_of training in
-          match provenance with
-          | None ->
-            print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
-            finish_trace ();
-            exit_ok
-          | Some path ->
-            (* The explained census carries full verdict reports; its labels
-               are bit-identical to the plain path. *)
-            let explained =
-              Internet.Census.explained ~jobs ~control ~proto ~region websites
-            in
-            print_tally
-              (Internet.Census.tally_of_labels
-                 (List.map
-                    (fun (site, r) -> (site, r.Nebby.Measurement.label))
-                    explained));
-            write_provenance_jsonl path (Internet.Census.provenance_reports explained);
-            print_newline ();
-            print_string
-              (Obs.Provenance.render_dists ~header:"confidence"
-                 (Internet.Census.confidence_dists explained));
-            print_newline ();
-            print_string
-              (Obs.Provenance.render_dists ~header:"margin"
-                 (Internet.Census.margin_dists explained));
-            Printf.printf "\nprovenance : %s\n" path;
-            finish_trace ();
-            exit_ok)
+      end
+    in
+    with_profiling ~prof ~folded ~json:prof_json (fun () ->
+        let control = control_of training in
+        match provenance with
+        | None ->
+          print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
+          finish_trace ();
+          exit_ok
+        | Some path ->
+          (* The explained census carries full verdict reports; its labels
+             are bit-identical to the plain path. *)
+          let explained =
+            Internet.Census.explained ~jobs ~control ~proto ~region websites
+          in
+          print_tally
+            (Internet.Census.tally_of_labels
+               (List.map
+                  (fun (site, r) -> (site, r.Nebby.Measurement.label))
+                  explained));
+          write_provenance_jsonl path (Internet.Census.provenance_reports explained);
+          print_newline ();
+          print_string
+            (Obs.Provenance.render_dists ~header:"confidence"
+               (Internet.Census.confidence_dists explained));
+          print_newline ();
+          print_string
+            (Obs.Provenance.render_dists ~header:"margin"
+               (Internet.Census.margin_dists explained));
+          Printf.printf "\nprovenance : %s\n" path;
+          finish_trace ();
+          exit_ok)
   in
   let doc = "Run a mini census over the synthetic website population." in
   Cmd.v (Cmd.info "census" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_arg 10
+      const run
+      $ sites_arg ~doc:"Number of websites to measure." 100
+      $ region_arg ~doc:"Vantage point." $ proto_arg $ seed_arg $ training_arg 10
       $ jobs_arg $ log_level_arg $ provenance_arg $ pool_trace_arg $ pool_report_arg
       $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
 
@@ -943,16 +951,6 @@ let explain_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
   in
-  let sites_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "sites" ] ~docv:"N" ~doc:"Population size for website-name targets.")
-  in
-  let region_arg =
-    Arg.(
-      value & opt string "Ohio"
-      & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point for website-name targets.")
-  in
   let run target training sites region proto noise seed log_level provenance prof folded
       prof_json =
     Obs.Runtime.set_level log_level;
@@ -996,41 +994,32 @@ let explain_cmd =
               Printf.eprintf "nebby explain: no verdict report was produced\n";
               exit_internal
           end
-          else
+          else (
+            let websites = Internet.Population.generate ~n:sites ~seed () in
             match
-              List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all
+              List.find_opt (fun s -> s.Internet.Website.name = target) websites
             with
             | None ->
-              Printf.eprintf "nebby explain: unknown region %s (expected one of %s)\n"
-                region
-                (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
+              Printf.eprintf
+                "nebby explain: %s is not a file, a CCA registry name, or a website in \
+                 the %d-site population\n"
+                target sites;
               exit_usage
-            | Some region -> (
-              let websites = Internet.Population.generate ~n:sites ~seed () in
-              match
-                List.find_opt (fun s -> s.Internet.Website.name = target) websites
-              with
+            | Some site -> (
+              let report =
+                Internet.Census.explain_site ~control:(Lazy.force control) ~proto
+                  ~region site
+              in
+              match report.Nebby.Measurement.provenance with
+              | Some p ->
+                finish [ p ]
+                  (if report.Nebby.Measurement.label = "unknown" then exit_unclassified
+                   else exit_ok)
               | None ->
-                Printf.eprintf
-                  "nebby explain: %s is not a file, a CCA registry name, or a website in \
-                   the %d-site population\n"
-                  target sites;
-                exit_usage
-              | Some site -> (
-                let report =
-                  Internet.Census.explain_site ~control:(Lazy.force control) ~proto
-                    ~region site
-                in
-                match report.Nebby.Measurement.provenance with
-                | Some p ->
-                  finish [ p ]
-                    (if report.Nebby.Measurement.label = "unknown" then exit_unclassified
-                     else exit_ok)
-                | None ->
-                  (* an unresponsive site has no verdict to explain *)
-                  Printf.printf "verdict   %s (no provenance: site did not respond)\n"
-                    report.Nebby.Measurement.label;
-                  exit_ok))))
+                (* an unresponsive site has no verdict to explain *)
+                Printf.printf "verdict   %s (no provenance: site did not respond)\n"
+                  report.Nebby.Measurement.label;
+                exit_ok))))
   in
   let doc =
     "Show the decision provenance of a classification: candidate scores, winning margin, \
@@ -1038,7 +1027,9 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ target_arg $ golden_training_arg $ sites_arg $ region_arg $ proto_arg
+      const run $ target_arg $ golden_training_arg
+      $ sites_arg ~doc:"Population size for website-name targets." 100
+      $ region_arg ~doc:"Vantage point for website-name targets." $ proto_arg
       $ noise_arg $ seed_arg $ log_level_arg $ provenance_arg $ prof_table_arg
       $ prof_folded_arg $ prof_json_arg)
 
@@ -1223,14 +1214,6 @@ let campaign_cmd =
     let doc = "Experiment to fan out: accuracy, census, or chaos." in
     Arg.(value & pos 0 string "accuracy" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let sites_arg =
-    Arg.(
-      value & opt int 80
-      & info [ "sites" ] ~docv:"N" ~doc:"Census population size per seed.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
-  in
   let out_arg =
     let doc = "Per-seed result store (schema-versioned JSONL), written as seeds finish." in
     Arg.(value & opt string "campaign-runs.jsonl" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
@@ -1279,14 +1262,6 @@ let campaign_cmd =
        the dashboard."
     in
     Arg.(value & opt (some string) None & info [ "drift-store" ] ~docv:"STORE" ~doc)
-  in
-  let accuracy_floor_arg =
-    let doc = "Override the overall mean-accuracy floor gate." in
-    Arg.(value & opt (some float) None & info [ "accuracy-floor" ] ~docv:"X" ~doc)
-  in
-  let ci_ceiling_arg =
-    let doc = "Override the CI-width ceiling gate on the overall accuracy." in
-    Arg.(value & opt (some float) None & info [ "ci-width-ceiling" ] ~docv:"X" ~doc)
   in
   (* every numeric field of a bench ledger becomes a gate extra; the
      derived census_sites_per_s throughput joins them when the ledger
@@ -1353,20 +1328,8 @@ let campaign_cmd =
         if pts = [] then None else Some (metric, pts))
       trend_metrics
   in
-  let override_gates ~accuracy_floor ~ci_ceiling gates =
-    List.map
-      (fun (g : Obs.Campaign.gate) ->
-        match (g.Obs.Campaign.metric, g.Obs.Campaign.gstat, g.Obs.Campaign.op) with
-        | "accuracy", Obs.Campaign.Mean, Obs.Campaign.Floor ->
-          { g with Obs.Campaign.bound = Option.value ~default:g.Obs.Campaign.bound accuracy_floor }
-        | "accuracy", Obs.Campaign.Ci_width, Obs.Campaign.Ceiling ->
-          { g with Obs.Campaign.bound = Option.value ~default:g.Obs.Campaign.bound ci_ceiling }
-        | _ -> g)
-      gates
-  in
   let run experiment seed count seed_list jobs training sites region proto log_level out
-      summary_path html_path from bench_json no_gates pool_trace_file drift_store
-      accuracy_floor ci_ceiling =
+      summary_path html_path from bench_json no_gates pool_trace_file drift_store =
     Obs.Runtime.set_level log_level;
     with_inputs ~cmd:"campaign" (fun () ->
       match Internet.Campaign_runner.experiment_of_name experiment with
@@ -1374,95 +1337,82 @@ let campaign_cmd =
         Printf.eprintf "nebby campaign: %s\n" msg;
         exit_usage
       | experiment_result -> (
-        match
-          List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all
-        with
-        | None ->
-          Printf.eprintf "nebby campaign: unknown region %s (expected one of %s)\n" region
-            (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-          exit_usage
-        | Some region -> (
-          match resolve_seed_spec ~cmd:"campaign" ?count ?seed_list ~base:seed () with
-          | None -> exit_usage
-          | Some seeds ->
-            let experiment_tag, seed_runs =
-              match from with
-              | Some store ->
-                let tag, stored = read_input store Obs.Campaign.read_store in
-                note "nebby campaign: aggregating %d stored run(s) from %s\n"
-                  (List.length stored) store;
-                (tag, stored)
-              | None ->
-                let experiment =
-                  match experiment_result with Ok e -> e | Error _ -> assert false
-                in
-                let control = control_of training in
-                let oc = open_out out in
-                let stored =
-                  Fun.protect
-                    ~finally:(fun () -> close_out_noerr oc)
-                    (fun () ->
-                      Obs.Campaign.write_header oc
-                        ~experiment:(Internet.Campaign_runner.experiment_name experiment)
-                        ~runs:(List.length seeds);
-                      Internet.Campaign_runner.run ~jobs:(resolve_jobs jobs)
-                        ~emit:(fun i r ->
-                          Obs.Campaign.write_seed_line oc r;
-                          flush oc;
-                          note "nebby campaign: seed %d done (%d/%d)\n"
-                            r.Obs.Campaign.seed (i + 1) (List.length seeds))
-                        ~sites ~proto ~region ~control experiment ~seeds)
-                in
-                (Internet.Campaign_runner.experiment_name experiment, stored)
-            in
-            let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
-            let extra =
-              match bench_json with None -> [] | Some path -> read_input path bench_extras
-            in
-            let gates =
-              if no_gates then []
-              else
-                match Internet.Campaign_runner.experiment_of_name experiment_tag with
-                | Ok e ->
-                  override_gates ~accuracy_floor ~ci_ceiling
-                    (Internet.Campaign_runner.default_gates e)
-                | Error _ -> []
-            in
-            let results = Obs.Campaign.evaluate ~gates ~extra summary in
-            write_file summary_path
-              (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary)
-              ^ "\n");
-            let pool = Option.map read_pool_trace pool_trace_file in
-            let drift =
-              Option.map
-                (fun store ->
-                  let ledger = read_ledger store in
-                  (ledger, Obs.Drift.detect ledger))
-                drift_store
-            in
-            write_file html_path
-              (Obs.Render.campaign_dashboard ?pool ?drift ~trend:(trend_series ())
-                 ~gates:results ~summary ());
-            print_string (Obs.Campaign.render ~gates:results summary);
-            if from = None then Printf.printf "\nstore     : %s\n" out
-            else Printf.printf "\nstore     : %s (aggregated)\n"
-                   (Option.value ~default:out from);
-            Printf.printf "summary   : %s\ndashboard : %s\n" summary_path html_path;
-            if Obs.Campaign.gates_pass results then exit_ok
-            else begin
-              let failed =
-                List.filter
-                  (fun (r : Obs.Campaign.gate_result) -> r.Obs.Campaign.status = Obs.Campaign.Fail)
-                  results
+        match resolve_seed_spec ~cmd:"campaign" ?count ?seed_list ~base:seed () with
+        | None -> exit_usage
+        | Some seeds ->
+          let experiment_tag, seed_runs =
+            match from with
+            | Some store ->
+              let tag, stored = read_input store Obs.Campaign.read_store in
+              note "nebby campaign: aggregating %d stored run(s) from %s\n"
+                (List.length stored) store;
+              (tag, stored)
+            | None ->
+              let experiment =
+                match experiment_result with Ok e -> e | Error _ -> assert false
               in
-              Printf.eprintf "nebby campaign: %d gate(s) failed: %s\n" (List.length failed)
-                (String.concat ", "
-                   (List.map
-                      (fun (r : Obs.Campaign.gate_result) ->
-                        r.Obs.Campaign.gate.Obs.Campaign.gate_name)
-                      failed));
-              exit_unclassified
-            end)))
+              let control = control_of training in
+              let oc = open_out out in
+              let stored =
+                Fun.protect
+                  ~finally:(fun () -> close_out_noerr oc)
+                  (fun () ->
+                    Obs.Campaign.write_header oc
+                      ~experiment:(Internet.Campaign_runner.experiment_name experiment)
+                      ~runs:(List.length seeds);
+                    Internet.Campaign_runner.run ~jobs:(resolve_jobs jobs)
+                      ~emit:(fun i r ->
+                        Obs.Campaign.write_seed_line oc r;
+                        flush oc;
+                        note "nebby campaign: seed %d done (%d/%d)\n"
+                          r.Obs.Campaign.seed (i + 1) (List.length seeds))
+                      ~sites ~proto ~region ~control experiment ~seeds)
+              in
+              (Internet.Campaign_runner.experiment_name experiment, stored)
+          in
+          let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
+          let extra =
+            match bench_json with None -> [] | Some path -> read_input path bench_extras
+          in
+          let gates =
+            if no_gates then []
+            else
+              match Internet.Campaign_runner.experiment_of_name experiment_tag with
+              | Ok e -> Internet.Campaign_runner.default_gates e
+              | Error _ -> []
+          in
+          let results = Obs.Gate.evaluate gates (Obs.Campaign.lookup ~extra summary) in
+          write_file summary_path
+            (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary)
+            ^ "\n");
+          let pool = Option.map read_pool_trace pool_trace_file in
+          let drift =
+            Option.map
+              (fun store ->
+                let ledger = read_ledger store in
+                (ledger, Obs.Drift.detect ledger))
+              drift_store
+          in
+          write_file html_path
+            (Obs.Render.campaign_dashboard ?pool ?drift ~trend:(trend_series ())
+               ~gates:results ~summary ());
+          print_string (Obs.Campaign.render ~gates:results summary);
+          if from = None then Printf.printf "\nstore     : %s\n" out
+          else Printf.printf "\nstore     : %s (aggregated)\n"
+                 (Option.value ~default:out from);
+          Printf.printf "summary   : %s\ndashboard : %s\n" summary_path html_path;
+          if Obs.Gate.passed results then exit_ok
+          else begin
+            let failed =
+              List.filter_map
+                (fun (r : Obs.Gate.result) ->
+                  if r.status = Obs.Gate.Fail then Some r.gate.name else None)
+                results
+            in
+            Printf.eprintf "nebby campaign: %d gate(s) failed: %s\n" (List.length failed)
+              (String.concat ", " failed);
+            exit_unclassified
+          end))
   in
   let doc =
     "Fan an experiment across many seeds, aggregate per-cell statistics (mean, stddev, \
@@ -1472,18 +1422,13 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
       const run $ experiment_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ training_arg 10 $ sites_arg $ region_arg $ proto_arg $ log_level_arg
+      $ training_arg 10
+      $ sites_arg ~doc:"Census population size per seed." 80
+      $ region_arg ~doc:"Vantage point." $ proto_arg $ log_level_arg
       $ out_arg $ summary_arg $ html_arg $ from_arg $ bench_json_arg $ no_gates_arg
-      $ pool_trace_file_arg $ drift_store_arg $ accuracy_floor_arg $ ci_ceiling_arg)
+      $ pool_trace_file_arg $ drift_store_arg)
 
 let serve_cmd =
-  let sites_arg =
-    Arg.(
-      value & opt int 24 & info [ "sites" ] ~docv:"N" ~doc:"Number of websites to keep fresh.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
-  in
   let epochs_arg =
     Arg.(
       value & opt int 2
@@ -1612,82 +1557,76 @@ let serve_cmd =
       exit_ok
     end
     else
-      match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
-      | None ->
-        Printf.eprintf "nebby serve: unknown region %s (expected one of %s)\n" region
-          (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-        exit_usage
-      | Some region ->
-          let migration =
-            match migrate with
-            | None -> None
-            | Some spec -> (
-              match Internet.Population.migration_of_spec spec with
-              | Some m -> Some m
-              | None ->
-                Printf.eprintf
-                  "nebby serve: bad --migrate spec %S (expected FROM:TO:ONSET:RATE, e.g. \
-                   cubic:bbr:2:4)\n"
-                  spec;
-                exit exit_usage)
-          in
-          let alert_rules =
-            match alerts with
-            | Some path -> read_input path Serve.Alerts.load_rules
-            | None -> if alert_log <> None then Serve.Alerts.default_rules else []
-          in
-          let control = control_of training in
-          let config =
-            {
-              Serve.Service.sites;
-              seed;
-              region;
-              proto;
-              jobs = resolve_jobs jobs;
-              epochs = max 1 epochs;
-              deadline_s = (if deadline <= 0.0 then infinity else deadline);
-              high_water;
-              batch;
-              max_entries;
-              confidence_floor;
-              margin_floor;
-              kill_after_commits = kill;
-              status_file;
-              migration;
-              alert_rules;
-              alert_log;
-            }
-          in
-          let summary =
-            read_input store (fun store ->
-                Obs.Telemetry.record ?jsonl:telemetry (fun () ->
-                    Serve.Service.run ~control ~config ~store))
-          in
-          Printf.printf "store      : %s\n" store;
-          Printf.printf "epochs     : %d over %d site(s) (%s, %s)\n" config.epochs sites
-            (Internet.Region.name region)
-            (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic");
-          Printf.printf "measured   : %d\n" summary.Serve.Service.measured;
-          Printf.printf "recovered  : %d\n" summary.recovered;
-          Printf.printf "carried    : %d\n" summary.carried;
-          Printf.printf "timeouts   : %d\n" summary.timeouts;
-          Printf.printf "overloads  : %d\n" summary.overloads;
-          Printf.printf "torn tail  : %d record(s) dropped\n" summary.torn_dropped;
-          Printf.printf "snapshots  : %d\n" summary.snapshots;
-          Option.iter
-            (fun m ->
-              Printf.printf "migration  : %s\n" (Internet.Population.migration_spec m))
-            migration;
-          if alert_rules <> [] then begin
-            Printf.printf "drift evts : %d\n" summary.drift_events;
-            Printf.printf "alerts     : %d fired (%d rule(s) armed)\n"
-              summary.alerts_fired (List.length alert_rules);
-            Option.iter (Printf.printf "alert log  : %s\n") alert_log
-          end
-          else Printf.printf "drift evts : %d\n" summary.drift_events;
-          Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
-          Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
-          exit_ok
+      let migration =
+        match migrate with
+        | None -> None
+        | Some spec -> (
+          match Internet.Population.migration_of_spec spec with
+          | Some m -> Some m
+          | None ->
+            Printf.eprintf
+              "nebby serve: bad --migrate spec %S (expected FROM:TO:ONSET:RATE, e.g. \
+               cubic:bbr:2:4)\n"
+              spec;
+            exit exit_usage)
+      in
+      let alert_rules =
+        match alerts with
+        | Some path -> read_input path Serve.Alerts.load_rules
+        | None -> if alert_log <> None then Serve.Alerts.default_rules else []
+      in
+      let control = control_of training in
+      let config =
+        {
+          Serve.Service.sites;
+          seed;
+          region;
+          proto;
+          jobs = resolve_jobs jobs;
+          epochs = max 1 epochs;
+          deadline_s = (if deadline <= 0.0 then infinity else deadline);
+          high_water;
+          batch;
+          max_entries;
+          confidence_floor;
+          margin_floor;
+          kill_after_commits = kill;
+          status_file;
+          migration;
+          alert_rules;
+          alert_log;
+        }
+      in
+      let summary =
+        read_input store (fun store ->
+            Obs.Telemetry.record ?jsonl:telemetry (fun () ->
+                Serve.Service.run ~control ~config ~store))
+      in
+      Printf.printf "store      : %s\n" store;
+      Printf.printf "epochs     : %d over %d site(s) (%s, %s)\n" config.epochs sites
+        (Internet.Region.name region)
+        (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic");
+      Printf.printf "measured   : %d\n" summary.Serve.Service.measured;
+      Printf.printf "recovered  : %d\n" summary.recovered;
+      Printf.printf "carried    : %d\n" summary.carried;
+      Printf.printf "timeouts   : %d\n" summary.timeouts;
+      Printf.printf "overloads  : %d\n" summary.overloads;
+      Printf.printf "torn tail  : %d record(s) dropped\n" summary.torn_dropped;
+      Printf.printf "snapshots  : %d\n" summary.snapshots;
+      Option.iter
+        (fun m ->
+          Printf.printf "migration  : %s\n" (Internet.Population.migration_spec m))
+        migration;
+      if alert_rules <> [] then begin
+        Printf.printf "drift evts : %d\n" summary.drift_events;
+        Printf.printf "alerts     : %d fired (%d rule(s) armed)\n"
+          summary.alerts_fired (List.length alert_rules);
+        Option.iter (Printf.printf "alert log  : %s\n") alert_log
+      end
+      else Printf.printf "drift evts : %d\n" summary.drift_events;
+      Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
+      Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
+      exit_ok
   in
   let doc =
     "Run the crash-safe continuous census: measure the population onto a durable \
@@ -1696,7 +1635,9 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ training_arg 10
+      const run
+      $ sites_arg ~doc:"Number of websites to keep fresh." 24
+      $ region_arg ~doc:"Vantage point." $ proto_arg $ seed_arg $ training_arg 10
       $ jobs_arg $ epochs_arg $ store_arg $ deadline_arg $ high_water_arg $ batch_arg
       $ max_entries_arg $ confidence_floor_arg $ margin_floor_arg $ kill_arg
       $ compact_only_arg $ status_file_arg $ migrate_arg $ alerts_arg $ alert_log_arg

@@ -167,43 +167,37 @@ let run ?jobs ?emit ?(sites = 80) ?ccas ?families ?(proto = Netsim.Packet.Tcp) ?
   let emit = match emit with Some e -> e | None -> fun _ _ -> () in
   Array.to_list (Engine.Pool.map_stream ?jobs ~emit per_seed (Array.of_list seeds))
 
-let g gate_name metric gstat op bound =
-  { Obs.Campaign.gate_name; metric; gstat; op; bound }
+let g name signal op bound = Obs.Gate.make ~name signal op bound
 
 (* Gates over externally benched values: skipped unless the CLI feeds a
    bench ledger via --bench-json, so the deterministic campaign outputs
    never depend on this host's wall clock. *)
 let bench_gates =
   [
-    g "throughput-floor" "census_sites_per_s" Obs.Campaign.Mean Obs.Campaign.Floor 1.0;
-    g "flight-overhead" "census_flight_overhead_frac" Obs.Campaign.Mean
-      Obs.Campaign.Ceiling 0.05;
-    g "provenance-overhead" "census_provenance_overhead_frac" Obs.Campaign.Mean
-      Obs.Campaign.Ceiling 0.5;
+    g "throughput-floor" "mean(census_sites_per_s)" Floor 1.0;
+    g "flight-overhead" "mean(census_flight_overhead_frac)" Ceiling 0.05;
+    g "provenance-overhead" "mean(census_provenance_overhead_frac)" Ceiling 0.5;
   ]
 
 let default_gates = function
   | Accuracy ->
     [
-      g "accuracy-floor" "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.7;
-      g "loss-family-floor" "accuracy.family.loss" Obs.Campaign.Mean Obs.Campaign.Floor
-        0.6;
-      g "rate-family-floor" "accuracy.family.rate" Obs.Campaign.Mean Obs.Campaign.Floor
-        0.5;
-      g "delay-family-floor" "accuracy.family.delay" Obs.Campaign.Mean
-        Obs.Campaign.Floor 0.4;
-      g "accuracy-ci-width" "accuracy" Obs.Campaign.Ci_width Obs.Campaign.Ceiling 0.25;
+      g "accuracy-floor" "mean(accuracy)" Floor 0.7;
+      g "loss-family-floor" "mean(accuracy.family.loss)" Floor 0.6;
+      g "rate-family-floor" "mean(accuracy.family.rate)" Floor 0.5;
+      g "delay-family-floor" "mean(accuracy.family.delay)" Floor 0.4;
+      g "accuracy-ci-width" "ci_width(accuracy)" Ceiling 0.25;
     ]
     @ bench_gates
   | Census ->
     [
-      g "accuracy-floor" "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.5;
-      g "accuracy-ci-width" "accuracy" Obs.Campaign.Ci_width Obs.Campaign.Ceiling 0.25;
+      g "accuracy-floor" "mean(accuracy)" Floor 0.5;
+      g "accuracy-ci-width" "ci_width(accuracy)" Ceiling 0.25;
     ]
     @ bench_gates
   | Chaos ->
     [
-      g "baseline-accuracy-floor" "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.6;
-      g "accuracy-ci-width" "accuracy" Obs.Campaign.Ci_width Obs.Campaign.Ceiling 0.3;
+      g "baseline-accuracy-floor" "mean(accuracy)" Floor 0.6;
+      g "accuracy-ci-width" "ci_width(accuracy)" Ceiling 0.3;
     ]
     @ bench_gates

@@ -53,7 +53,7 @@ val run :
     and ["unknown_rate.<family>"] plus ["violations"]. Outcomes carry
     the provenance subjects ({!Obs.Campaign.outcome}). *)
 
-val default_gates : experiment -> Obs.Campaign.gate list
+val default_gates : experiment -> Obs.Gate.t list
 (** The pass gates [nebby campaign] applies by default: an overall
     accuracy floor, per-family accuracy floors (accuracy experiment), a
     CI-width ceiling on the overall accuracy, and — evaluated only when

@@ -279,57 +279,21 @@ let aggregate ?(outlier_metric = "accuracy") ~experiment runs =
 
 (* ---- pass gates ---- *)
 
-type gate_stat = Mean | Ci_width | Min_value | Max_value
-type gate_op = Floor | Ceiling
+(* (stat, cell) of a gate signal: "ci_width(accuracy)", or a bare cell read as its mean *)
+let cell_signal signal =
+  match Gate.call signal with Some call -> call | None -> ("mean", signal)
 
-type gate = {
-  gate_name : string;
-  metric : string;
-  gstat : gate_stat;
-  op : gate_op;
-  bound : float;
-}
-
-type gate_status = Pass | Fail | Skip
-type gate_result = { gate : gate; value : float option; status : gate_status }
-
-let gate_stat_label = function
-  | Mean -> "mean"
-  | Ci_width -> "ci_width"
-  | Min_value -> "min"
-  | Max_value -> "max"
-
-let gate_describe g =
-  Printf.sprintf "%s(%s) %s %.6g" (gate_stat_label g.gstat) g.metric
-    (match g.op with Floor -> ">=" | Ceiling -> "<=")
-    g.bound
-
-let evaluate ~gates ?(extra = []) summary =
-  List.map
-    (fun g ->
-      let value =
-        match List.assoc_opt g.metric summary.cells with
-        | Some s -> (
-          match g.gstat with
-          | Mean -> Some s.mean
-          | Ci_width -> Some (2.0 *. s.ci95)
-          | Min_value -> Some s.min_v
-          | Max_value -> Some s.max_v)
-        | None -> List.assoc_opt g.metric extra
-      in
-      let status =
-        match value with
-        | None -> Skip
-        | Some v when not (Float.is_finite v) -> Fail
-        | Some v -> (
-          match g.op with
-          | Floor -> if v >= g.bound then Pass else Fail
-          | Ceiling -> if v <= g.bound then Pass else Fail)
-      in
-      { gate = g; value; status })
-    gates
-
-let gates_pass results = List.for_all (fun r -> r.status <> Fail) results
+let lookup ?(extra = []) summary signal =
+  let stat, metric = cell_signal signal in
+  match List.assoc_opt metric summary.cells with
+  | Some s -> (
+    match stat with
+    | "mean" -> Some s.mean
+    | "ci_width" -> Some (2.0 *. s.ci95)
+    | "min" -> Some s.min_v
+    | "max" -> Some s.max_v
+    | _ -> None)
+  | None -> List.assoc_opt metric extra
 
 (* ---- serialization ---- *)
 
@@ -358,18 +322,17 @@ let stat_of_json j =
       max_v = jfloat (jmember "max" j);
     } )
 
-let gate_status_label = function Pass -> "pass" | Fail -> "fail" | Skip -> "skip"
-
-let gate_result_to_json r =
+let gate_result_to_json (r : Gate.result) =
+  let stat, metric = cell_signal r.gate.signal in
   Json.Obj
     [
-      ("name", Json.Str r.gate.gate_name);
-      ("metric", Json.Str r.gate.metric);
-      ("stat", Json.Str (gate_stat_label r.gate.gstat));
-      ("op", Json.Str (match r.gate.op with Floor -> "floor" | Ceiling -> "ceiling"));
+      ("name", Json.Str r.gate.name);
+      ("metric", Json.Str metric);
+      ("stat", Json.Str stat);
+      ("op", Json.Str (Gate.op_label r.gate.op));
       ("bound", Json.Num r.gate.bound);
       ("value", match r.value with Some v -> Json.Num v | None -> Json.Null);
-      ("status", Json.Str (gate_status_label r.status));
+      ("status", Json.Str (Gate.status_label r.status));
     ]
 
 let summary_to_json ?gates summary =
@@ -493,14 +456,5 @@ let render ?gates summary =
   | None -> ()
   | Some results ->
     Buffer.add_string buf "\ngates:\n";
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "  [%s] %-26s %-34s %s\n"
-             (String.uppercase_ascii (gate_status_label r.status))
-             r.gate.gate_name (gate_describe r.gate)
-             (match r.value with
-             | Some v -> "value " ^ fnum v
-             | None -> "(metric absent)")))
-      results);
+    List.iter (fun r -> Buffer.add_string buf (Gate.line r)) results);
   Buffer.contents buf

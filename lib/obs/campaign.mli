@@ -130,52 +130,23 @@ val aggregate : ?outlier_metric:string -> experiment:string -> seed_run list -> 
 
 (** {1 Pass gates} *)
 
-type gate_stat = Mean | Ci_width | Min_value | Max_value
-(** Which statistic of the cell the gate reads. [Ci_width] is the full
-    interval width, [2 *. ci95]. *)
-
-type gate_op = Floor | Ceiling  (** value must be [>= bound] / [<= bound] *)
-
-type gate = {
-  gate_name : string;
-  metric : string;
-  gstat : gate_stat;
-  op : gate_op;
-  bound : float;
-}
-
-type gate_status =
-  | Pass
-  | Fail
-  | Skip  (** the metric is absent from the summary and the extras *)
-
-type gate_result = { gate : gate; value : float option; status : gate_status }
-
-val evaluate :
-  gates:gate list -> ?extra:(string * float) list -> summary -> gate_result list
-(** Evaluate every gate against the summary's cells, falling back to
-    [extra] (externally measured single values — bench timings,
-    overhead fractions — always read as their own [Mean]) when the cell
-    is absent. A gate whose metric appears in neither is [Skip]ped; a
-    non-finite value [Fail]s (never silently passes). Result order
-    follows [gates]. *)
-
-val gates_pass : gate_result list -> bool
-(** True iff no gate [Fail]ed ([Skip]s do not fail a campaign). *)
-
-val gate_describe : gate -> string
-(** ["mean(accuracy) >= 0.7"] — the clause the gate enforces. *)
+val lookup : ?extra:(string * float) list -> summary -> string -> float option
+(** The summary's {!Gate} signals: ["mean(x)"] (or bare ["x"]),
+    ["ci_width(x)"] (the full interval width, [2 *. ci95]), ["min(x)"]
+    and ["max(x)"] of cell [x]. When the summary has no cell [x], the
+    value comes from [extra] (externally measured single values — bench
+    timings, overhead fractions); [None] when neither has it. *)
 
 (** {1 Serialization and rendering} *)
 
-val summary_to_json : ?gates:gate_result list -> summary -> Json.t
+val summary_to_json : ?gates:Gate.result list -> summary -> Json.t
 (** [{"kind":"campaign_summary","version":N, …}] with cells sorted by
     name and a ["gates"] array when provided. Deterministic. *)
 
 val summary_of_json : Json.t -> summary
 (** Raises like {!read_store}. Gate results are not read back (they are re-derivable). *)
 
-val render : ?gates:gate_result list -> summary -> string
+val render : ?gates:Gate.result list -> summary -> string
 (** Fixed-width text: the cell table (n, mean, stddev, ci95, median,
     extrema), the confusion tally, the outlier list, and one line per
     gate with its PASS/FAIL/SKIP status. Deterministic. *)

@@ -976,20 +976,14 @@ let campaign_dashboard ?(trend = []) ?(gates = []) ?pool ?drift ~summary () =
     Buffer.add_string buf
       "<table><tr><th>gate</th><th>clause</th><th>value</th><th>status</th></tr>\n";
     List.iter
-      (fun (r : Campaign.gate_result) ->
-        let cls, txt =
-          match r.Campaign.status with
-          | Campaign.Pass -> ("pass", "PASS")
-          | Campaign.Fail -> ("fail", "FAIL")
-          | Campaign.Skip -> ("skip", "SKIP")
-        in
+      (fun (r : Gate.result) ->
+        let cls = Gate.status_label r.status in
         Buffer.add_string buf
           (Printf.sprintf
              "<tr><td>%s</td><td>%s</td><td>%s</td><td class=\"%s\">%s</td></tr>\n"
-             (esc r.Campaign.gate.Campaign.gate_name)
-             (esc (Campaign.gate_describe r.Campaign.gate))
-             (match r.Campaign.value with Some v -> esc (fnum v) | None -> "&#8212;")
-             cls txt))
+             (esc r.gate.name) (esc (Gate.describe r.gate))
+             (match r.value with Some v -> esc (fnum v) | None -> "&#8212;")
+             cls (String.uppercase_ascii cls)))
       gates;
     Buffer.add_string buf "</table>\n");
   if s.Campaign.seeds = [] then

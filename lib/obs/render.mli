@@ -63,7 +63,7 @@ val drift_dashboard :
 
 val campaign_dashboard :
   ?trend:(string * (string * float) list) list ->
-  ?gates:Campaign.gate_result list ->
+  ?gates:Gate.result list ->
   ?pool:Pooltrace.t ->
   ?drift:Drift.ledger * Drift.event list ->
   summary:Campaign.summary ->

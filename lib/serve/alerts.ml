@@ -1,5 +1,5 @@
-(* Declarative per-epoch alerting. See alerts.mli; the engine is a
-   tiny per-rule state machine — breach streak plus a firing bit — and
+(* Declarative per-epoch alerting. See alerts.mli; the engine is an
+   Obs.Gate streak watch — breach streak plus a firing bit per rule — and
    everything interesting is in what it does NOT emit: no line while a
    breach persists, no line while a rule stays quiet. *)
 
@@ -33,29 +33,19 @@ let signal_of_name = function
   | "overload_share" -> Some Overload_share
   | _ -> None
 
-type bound = Ceiling | Floor
+type rule = Obs.Gate.t
 
-type rule = {
-  name : string;
-  signal : signal;
-  bound : bound;
-  limit : float;
-  for_epochs : int;
-}
+let rule ?(for_epochs = 1) name signal op limit =
+  Obs.Gate.make ~streak:for_epochs ~name (signal_name signal) op limit
 
 let default_rules =
   [
-    { name = "unknown-share"; signal = Unknown_share; bound = Ceiling; limit = 45.0;
-      for_epochs = 1 };
-    { name = "mean-confidence"; signal = Mean_confidence; bound = Floor; limit = 0.5;
-      for_epochs = 1 };
-    { name = "timeouts"; signal = Timeouts; bound = Ceiling; limit = 0.0; for_epochs = 1 };
-    { name = "drift-rate"; signal = Drift_rate; bound = Ceiling; limit = 2.5;
-      for_epochs = 1 };
-    { name = "journal-lag"; signal = Journal_lag; bound = Ceiling; limit = 512.0;
-      for_epochs = 1 };
-    { name = "overload-share"; signal = Overload_share; bound = Ceiling; limit = 50.0;
-      for_epochs = 1 };
+    rule "unknown-share" Unknown_share Ceiling 45.0;
+    rule "mean-confidence" Mean_confidence Floor 0.5;
+    rule "timeouts" Timeouts Ceiling 0.0;
+    rule "drift-rate" Drift_rate Ceiling 2.5;
+    rule "journal-lag" Journal_lag Ceiling 512.0;
+    rule "overload-share" Overload_share Ceiling 50.0;
   ]
 
 (* serialization ----------------------------------------------------------- *)
@@ -68,13 +58,13 @@ let get_num what j =
 let get_str what j =
   match Obs.Json.member what j with Some (Obs.Json.Str s) -> s | _ -> shape_error what
 
-let rule_to_json r =
+let rule_to_json (r : rule) =
   Obs.Json.Obj
     [
       ("name", Obs.Json.Str r.name);
-      ("signal", Obs.Json.Str (signal_name r.signal));
-      ((match r.bound with Ceiling -> "ceiling" | Floor -> "floor"), Obs.Json.Num r.limit);
-      ("for_epochs", Obs.Json.Num (float_of_int r.for_epochs));
+      ("signal", Obs.Json.Str r.signal);
+      (Obs.Gate.op_label r.op, Obs.Json.Num r.bound);
+      ("for_epochs", Obs.Json.Num (float_of_int r.streak));
     ]
 
 let rules_to_json rules =
@@ -85,32 +75,31 @@ let rules_to_json rules =
 
 let rule_of_json j =
   let name = get_str "name" j in
-  let signal =
-    match signal_of_name (get_str "signal" j) with
-    | Some s -> s
-    | None -> shape_error ("signal for rule " ^ name)
-  in
-  let bound, limit =
+  let signal = get_str "signal" j in
+  if signal_of_name signal = None then shape_error ("signal for rule " ^ name);
+  let op, limit =
     match (Obs.Json.member "ceiling" j, Obs.Json.member "floor" j) with
-    | Some (Obs.Json.Num l), None -> (Ceiling, l)
-    | None, Some (Obs.Json.Num l) -> (Floor, l)
+    | Some (Obs.Json.Num l), None -> (Obs.Gate.Ceiling, l)
+    | None, Some (Obs.Json.Num l) -> (Obs.Gate.Floor, l)
     | _ -> shape_error ("bound for rule " ^ name)
   in
-  let for_epochs =
+  let streak =
     match Obs.Json.member "for_epochs" j with
     | None -> 1
-    | Some (Obs.Json.Num n) when n >= 1.0 -> int_of_float n
+    | Some (Obs.Json.Num n)
+      when Float.is_integer n && n >= 1.0 && n <= float_of_int Obs.Gate.max_streak ->
+      int_of_float n
     | Some _ -> shape_error ("for_epochs for rule " ^ name)
   in
   if name = "" then shape_error "empty rule name";
-  { name; signal; bound; limit; for_epochs }
+  Obs.Gate.make ~streak ~name signal op limit
 
 let rules_of_json j =
   Obs.Envelope.check ~kind:"nebby_alert_rules" ~version:schema_version j;
   match Obs.Json.member "rules" j with
   | Some (Obs.Json.Arr rs) ->
     let rules = List.map rule_of_json rs in
-    let names = List.map (fun r -> r.name) rules in
+    let names = List.map (fun (r : rule) -> r.name) rules in
     if List.length (List.sort_uniq compare names) <> List.length names then
       shape_error "duplicate rule names";
     rules
@@ -121,17 +110,12 @@ let load_rules path =
 
 (* the engine -------------------------------------------------------------- *)
 
-type cell = { c_rule : rule; mutable streak : int; mutable is_firing : bool }
-type t = cell list (* sorted by rule name *)
+type t = Obs.Gate.watch (* sorted by rule name *)
 
 let create rules =
-  List.map
-    (fun c_rule -> { c_rule; streak = 0; is_firing = false })
-    (List.sort (fun a b -> compare a.name b.name) rules)
+  Obs.Gate.watch (List.sort (fun (a : rule) b -> compare a.name b.name) rules)
 
-let rules t = List.map (fun c -> c.c_rule) t
-
-type action = Fire | Resolve
+type action = Obs.Gate.edge = Fire | Resolve
 
 type transition = {
   epoch : int;
@@ -195,42 +179,27 @@ let signal_values ?health ?point ?(events = []) () signal =
     | None -> 0.0)
 
 let evaluate t ~epoch ~signal_value =
-  List.filter_map
-    (fun c ->
-      let value = signal_value c.c_rule.signal in
-      let breached =
-        match c.c_rule.bound with
-        | Ceiling -> value > c.c_rule.limit
-        | Floor -> value < c.c_rule.limit
-      in
-      if breached then begin
-        c.streak <- c.streak + 1;
-        if (not c.is_firing) && c.streak >= c.c_rule.for_epochs then begin
-          c.is_firing <- true;
-          Some { epoch; rule = c.c_rule.name; action = Fire; value; limit = c.c_rule.limit }
-        end
-        else None
-      end
-      else begin
-        c.streak <- 0;
-        if c.is_firing then begin
-          c.is_firing <- false;
-          Some { epoch; rule = c.c_rule.name; action = Resolve; value; limit = c.c_rule.limit }
-        end
-        else None
-      end)
-    t
+  let lookup name = Option.map signal_value (signal_of_name name) in
+  List.map
+    (fun (action, (r : Obs.Gate.result)) ->
+      {
+        epoch;
+        rule = r.gate.name;
+        action;
+        value = Option.value ~default:Float.nan r.value;
+        limit = r.gate.bound;
+      })
+    (Obs.Gate.observe t lookup)
 
-let firing t = List.map (fun c -> (c.c_rule.name, c.is_firing)) t
+let firing = Obs.Gate.firing
 
 let gauges t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "# HELP nebby_alert 1 while the named alert rule is firing.\n";
   Buffer.add_string buf "# TYPE nebby_alert gauge\n";
   List.iter
-    (fun c ->
+    (fun (name, on) ->
       Buffer.add_string buf
-        (Printf.sprintf "nebby_alert{rule=\"%s\"} %d\n" c.c_rule.name
-           (if c.is_firing then 1 else 0)))
-    t;
+        (Printf.sprintf "nebby_alert{rule=\"%s\"} %d\n" name (if on then 1 else 0)))
+    (firing t);
   Buffer.contents buf

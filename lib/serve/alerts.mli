@@ -35,15 +35,14 @@ type signal =
 val signal_name : signal -> string
 val signal_of_name : string -> signal option
 
-type bound = Ceiling | Floor
+type rule = Obs.Gate.t
+(** A rule is a gate over a {!signal_name}: [bound] is its limit (breach
+    is value > limit for a ceiling, < limit for a floor, or a non-finite
+    value), [streak] the consecutive breached epochs before it fires.
+    On disk: [{"name", "signal", "ceiling"|"floor", "for_epochs"}]. *)
 
-type rule = {
-  name : string;
-  signal : signal;
-  bound : bound;
-  limit : float;  (** breach is value > limit (ceiling) / < limit (floor) *)
-  for_epochs : int;  (** consecutive breached epochs before firing (>= 1) *)
-}
+val rule : ?for_epochs:int -> string -> signal -> Obs.Gate.op -> float -> rule
+(** [rule name signal op limit]; [for_epochs] defaults to 1. *)
 
 val default_rules : rule list
 (** unknown-share ceiling 45, mean-confidence floor 0.5, timeouts
@@ -54,7 +53,8 @@ val rules_to_json : rule list -> Obs.Json.t
 val rules_of_json : Obs.Json.t -> rule list
 (** Raises [Obs.Envelope.Version_mismatch] on skew,
     [Obs.Json.Parse_error] on a malformed document (unknown signal,
-    missing bound, non-positive [for_epochs]). *)
+    missing bound, a [for_epochs] that is not an integer in
+    [1 .. Obs.Gate.max_streak]). *)
 
 val load_rules : string -> rule list
 (** Read a rules file; same exceptions as {!rules_of_json}, plus
@@ -65,11 +65,10 @@ val load_rules : string -> rule list
 type t
 
 val create : rule list -> t
-(** Fresh engine: every rule quiet with an empty breach streak. *)
+(** Fresh engine ({!Obs.Gate.watch} over the rules sorted by name): every
+    rule quiet with an empty breach streak. *)
 
-val rules : t -> rule list
-
-type action = Fire | Resolve
+type action = Obs.Gate.edge = Fire | Resolve
 
 type transition = {
   epoch : int;

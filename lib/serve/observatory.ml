@@ -77,6 +77,9 @@ let ledger_of_journal ~subject journal =
        epochs)
 
 let ledger_of_store ~store =
+  (* a reader: opening a journal creates it, so refuse a missing path first *)
+  if not (Sys.file_exists store) then
+    raise (Sys_error (store ^ ": No such file or directory"));
   let journal = Engine.Journal.open_ store in
   Fun.protect
     ~finally:(fun () -> Engine.Journal.close journal)

@@ -32,4 +32,5 @@ val ledger_of_store : store:string -> Obs.Drift.ledger
 (** Open the journal at [store] (repairing a torn tail like any other
     reader), build the ledger with the store's basename as subject,
     and close it. Raises [Obs.Envelope.Version_mismatch] on schema
-    skew. *)
+    skew and [Sys_error] when [store] does not exist (a missing store is
+    never created). *)

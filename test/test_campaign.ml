@@ -223,10 +223,8 @@ let test_summary_json_round_trip () =
 
 (* ---- pass gates ---- *)
 
-let gate ?(name = "g") metric gstat op bound =
-  { Obs.Campaign.gate_name = name; metric; gstat; op; bound }
-
-let status r = r.Obs.Campaign.status
+let gate ?(name = "g") signal op bound = Obs.Gate.make ~name signal op bound
+let status (r : Obs.Gate.result) = r.status
 
 let test_gates () =
   let s =
@@ -236,34 +234,34 @@ let test_gates () =
         run ~seed:2 ~metrics:[ ("accuracy", 0.9) ] ();
       ]
   in
-  let eval g extra = List.hd (Obs.Campaign.evaluate ~gates:[ g ] ~extra s) in
-  let floor_pass = eval (gate "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.7) [] in
-  Alcotest.(check bool) "floor under the mean passes" true (status floor_pass = Obs.Campaign.Pass);
-  let floor_fail = eval (gate "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.95) [] in
-  Alcotest.(check bool) "floor above the mean fails" true (status floor_fail = Obs.Campaign.Fail);
-  let skip = eval (gate "absent" Obs.Campaign.Mean Obs.Campaign.Floor 0.0) [] in
-  Alcotest.(check bool) "absent metric skips" true (status skip = Obs.Campaign.Skip);
+  let eval g extra = List.hd (Obs.Gate.evaluate [ g ] (Obs.Campaign.lookup ~extra s)) in
+  let floor_pass = eval (gate "mean(accuracy)" Obs.Gate.Floor 0.7) [] in
+  Alcotest.(check bool) "floor under the mean passes" true (status floor_pass = Obs.Gate.Pass);
+  let floor_fail = eval (gate "mean(accuracy)" Obs.Gate.Floor 0.95) [] in
+  Alcotest.(check bool) "floor above the mean fails" true (status floor_fail = Obs.Gate.Fail);
+  let skip = eval (gate "mean(absent)" Obs.Gate.Floor 0.0) [] in
+  Alcotest.(check bool) "absent metric skips" true (status skip = Obs.Gate.Skip);
   let extra_pass =
     eval
-      (gate "census_sites_per_s" Obs.Campaign.Mean Obs.Campaign.Floor 1.0)
+      (gate "mean(census_sites_per_s)" Obs.Gate.Floor 1.0)
       [ ("census_sites_per_s", 10.0) ]
   in
-  Alcotest.(check bool) "extras feed gates" true (status extra_pass = Obs.Campaign.Pass);
+  Alcotest.(check bool) "extras feed gates" true (status extra_pass = Obs.Gate.Pass);
   let nonfinite =
     eval
-      (gate "census_sites_per_s" Obs.Campaign.Mean Obs.Campaign.Floor 0.0)
+      (gate "mean(census_sites_per_s)" Obs.Gate.Floor 0.0)
       [ ("census_sites_per_s", Float.nan) ]
   in
   Alcotest.(check bool) "a non-finite value never passes" true
-    (status nonfinite = Obs.Campaign.Fail);
+    (status nonfinite = Obs.Gate.Fail);
   Alcotest.(check bool) "skips do not fail a campaign" true
-    (Obs.Campaign.gates_pass [ floor_pass; skip ]);
+    (Obs.Gate.passed [ floor_pass; skip ]);
   Alcotest.(check bool) "one fail fails it" false
-    (Obs.Campaign.gates_pass [ floor_pass; floor_fail ]);
-  let ci = gate "accuracy" Obs.Campaign.Ci_width Obs.Campaign.Ceiling 1.0 in
+    (Obs.Gate.passed [ floor_pass; floor_fail ]);
+  let ci = gate "ci_width(accuracy)" Obs.Gate.Ceiling 1.0 in
   Alcotest.(check string)
     "gate clause renders" "ci_width(accuracy) <= 1"
-    (Obs.Campaign.gate_describe ci)
+    (Obs.Gate.describe ci)
 
 (* ---- dashboard edge cases ---- *)
 
@@ -335,13 +333,12 @@ let test_render_gates_and_trend () =
       [ run ~seed:1 ~metrics:[ ("accuracy", 1.0) ] () ]
   in
   let results =
-    Obs.Campaign.evaluate
-      ~gates:
-        [
-          gate ~name:"floor" "accuracy" Obs.Campaign.Mean Obs.Campaign.Floor 0.5;
-          gate ~name:"absent" "nope" Obs.Campaign.Mean Obs.Campaign.Floor 0.5;
-        ]
-      s
+    Obs.Gate.evaluate
+      [
+        gate ~name:"floor" "mean(accuracy)" Obs.Gate.Floor 0.5;
+        gate ~name:"absent" "mean(nope)" Obs.Gate.Floor 0.5;
+      ]
+      (Obs.Campaign.lookup s)
   in
   let html =
     Obs.Render.campaign_dashboard

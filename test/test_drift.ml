@@ -316,6 +316,15 @@ let test_ledger_of_store () =
         Alcotest.(check (float 1e-9)) "epoch 1 bbr" 100.0 (Obs.Drift.share p1 "BBRv1")
       | _ -> Alcotest.fail "expected two points")
 
+let test_ledger_of_missing_store () =
+  let path = Filename.temp_file "drift" ".journal" in
+  Sys.remove path;
+  (match Serve.Observatory.ledger_of_store ~store:path with
+  | exception Sys_error msg ->
+    Alcotest.(check bool) "the error names the path" true (contains ~needle:path msg)
+  | _ -> Alcotest.fail "a missing store must not read as an empty ledger");
+  Alcotest.(check bool) "nothing created at the path" false (Sys.file_exists path)
+
 (* ---- alert engine ---- *)
 
 let signal_fn values s =
@@ -323,15 +332,7 @@ let signal_fn values s =
 
 let test_alert_fire_resolve_dedup () =
   let rules =
-    [
-      {
-        Serve.Alerts.name = "unknown-share";
-        signal = Serve.Alerts.Unknown_share;
-        bound = Serve.Alerts.Ceiling;
-        limit = 40.0;
-        for_epochs = 1;
-      };
-    ]
+    [ Serve.Alerts.rule "unknown-share" Serve.Alerts.Unknown_share Obs.Gate.Ceiling 40.0 ]
   in
   let eng = Serve.Alerts.create rules in
   let eval epoch unknown =
@@ -355,15 +356,7 @@ let test_alert_fire_resolve_dedup () =
 
 let test_alert_for_epochs_streak () =
   let rules =
-    [
-      {
-        Serve.Alerts.name = "conf";
-        signal = Serve.Alerts.Mean_confidence;
-        bound = Serve.Alerts.Floor;
-        limit = 0.5;
-        for_epochs = 2;
-      };
-    ]
+    [ Serve.Alerts.rule ~for_epochs:2 "conf" Serve.Alerts.Mean_confidence Obs.Gate.Floor 0.5 ]
   in
   let eng = Serve.Alerts.create rules in
   let eval epoch c =
@@ -418,9 +411,9 @@ let test_alert_rules_json_and_gauges () =
   List.iter
     (fun (r : Serve.Alerts.rule) ->
       Alcotest.(check bool)
-        (Printf.sprintf "gauge for %s" r.Serve.Alerts.name)
+        (Printf.sprintf "gauge for %s" r.name)
         true
-        (contains ~needle:(Printf.sprintf "nebby_alert{rule=\"%s\"} 0" r.Serve.Alerts.name) g))
+        (contains ~needle:(Printf.sprintf "nebby_alert{rule=\"%s\"} 0" r.name) g))
     rules
 
 (* ---- rendering ---- *)
@@ -472,6 +465,8 @@ let suite =
     Alcotest.test_case "observatory point statistics" `Quick test_point_of_values;
     Alcotest.test_case "observatory ledger from a journal store" `Quick
       test_ledger_of_store;
+    Alcotest.test_case "observatory refuses a missing store" `Quick
+      test_ledger_of_missing_store;
     Alcotest.test_case "alerts fire/resolve edges deduplicated" `Quick
       test_alert_fire_resolve_dedup;
     Alcotest.test_case "alerts for_epochs breach streak" `Quick

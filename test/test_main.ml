@@ -23,4 +23,5 @@ let () =
       ("adversarial", Test_adversarial.suite);
       ("envelope", Test_envelope.suite);
       ("ctl_cache", Test_control_cache.suite);
+      ("gate", Test_gate.suite);
     ]

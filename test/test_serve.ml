@@ -495,15 +495,7 @@ let test_migrating_service_detects_and_alerts () =
               migration =
                 Some { Internet.Population.default_migration with onset = 1; rate = 40.0 };
               alert_rules =
-                [
-                  {
-                    Serve.Alerts.name = "drift-rate";
-                    signal = Serve.Alerts.Drift_rate;
-                    bound = Serve.Alerts.Ceiling;
-                    limit = 0.5;
-                    for_epochs = 1;
-                  };
-                ];
+                [ Serve.Alerts.rule "drift-rate" Serve.Alerts.Drift_rate Obs.Gate.Ceiling 0.5 ];
               alert_log = Some log;
             }
           in

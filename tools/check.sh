@@ -257,14 +257,18 @@ cold_warm report "$cli" report test/golden/cubic.json -o "$cw_tmp/run/report.htm
 echo "(census, serve, explain and report byte-identical cold vs warm)"
 
 echo "== bench engine + baseline gate (census serial vs parallel, bench.json) =="
-# --baseline writes BENCH_<date>.json and compares the guarded timings
-# (census serial/parallel, journal replay, serve throughput; each the
-# median of 5 alternating samples, so one burst of host load cannot trip
-# the gate) against the committed BENCH_baseline.json; a >25% slowdown
-# fails the gate (exit 1). Without a committed baseline it prints a hint
-# and passes.
+# --baseline writes BENCH_<date>.json and runs the ledger's gates (exit 1
+# on any failure): against the committed BENCH_baseline.json, the guarded
+# timings (census serial/parallel, journal replay; each the median of 5
+# alternating samples, so one burst of host load cannot trip the gate)
+# may not slow down by more than 25%, the serve throughput may not drop
+# by more than 25%, and the scheduler metrics the baseline records must
+# still be produced; whatever the baseline, the pool-tracing and
+# serve-alert overheads (paired-run CPU-time medians) must stay within
+# 5% and be present. Without a committed baseline only the two overhead
+# ceilings run.
 dune exec bench/main.exe -- engine serve --sites 16 --training-runs 3 \
-  --json bench.json --runtest-s "$runtest_s" --baseline --tolerance 0.25
+  --json bench.json --runtest-s "$runtest_s" --baseline
 
 echo "== campaign determinism gate (4 seeds, jobs=4 must match jobs=1) =="
 # Two 4-seed accuracy campaigns at different worker counts must produce
@@ -297,31 +301,6 @@ done
 # gate here, on the fresh bench.json.
 overhead=$(sed -n 's/.*"census_flight_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
 echo "(campaign gates green; flight recorder overhead: ${overhead:-unmeasured})"
-# Pool task tracing is opt-in, but when enabled it must stay cheap: the
-# bench's paired-run measurement of a fully traced census may not cost
-# more than 5% CPU time over the untraced one.
-trace_ovh=$(sed -n 's/.*"census_trace_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
-if [ -z "$trace_ovh" ]; then
-  echo "check.sh: bench.json is missing census_trace_overhead_frac" >&2
-  exit 1
-fi
-if ! awk -v o="$trace_ovh" 'BEGIN { exit !(o <= 0.05) }'; then
-  echo "check.sh: pool trace overhead ${trace_ovh} exceeds the 5% ceiling" >&2
-  exit 1
-fi
-echo "(pool trace overhead: ${trace_ovh})"
-# The per-epoch alert engine rides the serve hot path, so its paired-run
-# overhead measurement gates on the same 5% CPU-time budget.
-alert_ovh=$(sed -n 's/.*"serve_alert_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
-if [ -z "$alert_ovh" ]; then
-  echo "check.sh: bench.json is missing serve_alert_overhead_frac" >&2
-  exit 1
-fi
-if ! awk -v o="$alert_ovh" 'BEGIN { exit !(o <= 0.05) }'; then
-  echo "check.sh: serve alert overhead ${alert_ovh} exceeds the 5% ceiling" >&2
-  exit 1
-fi
-echo "(serve alert overhead: ${alert_ovh})"
 
 echo "== serve kill-and-resume gate (SIGKILL mid-census, resume, byte-identical) =="
 # The headline recovery invariant: a census SIGKILLed at a seeded commit
@@ -572,29 +551,52 @@ skew nebby_alert "$skew_tmp/alerts.jsonl" "$cli" drift "$drift_tmp/j1/m.journal"
 skew nebby_serve_status "$serve_tmp/h1.status.json" "$cli" stats --live
 skew nebby_adversarial "$fixture" "$cli" fuzz --log-level quiet --replay
 echo "(9 formats x 3 skews: exit 2, kind named)"
+# usage_error NEEDLE COMMAND...: COMMAND must exit 2 (never 0, never 3)
+# with NEEDLE on stderr
+usage_error() {
+  needle=$1
+  shift
+  rc=0
+  "$@" >/dev/null 2>"$skew_tmp/err" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -e "$needle" "$skew_tmp/err"; then
+    cat "$skew_tmp/err" >&2
+    echo "check.sh: $* exited $rc (want 2 naming $needle)" >&2
+    exit 1
+  fi
+}
 # Training configurations too small to fit a model are usage errors, from
-# a flag or from a fixture that pins one (never exit 3).
+# a flag or from a fixture that pins one.
 for n in 0 1; do
   for cmd in explain report; do
-    rc=0
-    "$cli" $cmd test/golden/cubic.json --training-quic-runs "$n" \
-      >/dev/null 2>"$skew_tmp/err" || rc=$?
-    if [ "$rc" -ne 2 ] || ! grep -q "training-quic-runs" "$skew_tmp/err"; then
-      cat "$skew_tmp/err" >&2
-      echo "check.sh: $cmd --training-quic-runs $n exited $rc (want 2 naming the flag)" >&2
-      exit 1
-    fi
+    usage_error training-quic-runs "$cli" $cmd test/golden/cubic.json --training-quic-runs "$n"
   done
 done
 mkdir -p "$skew_tmp/quic1"
 sed 's/"quic_runs":[0-9]*/"quic_runs":1/' "$fixture" >"$skew_tmp/quic1/fixture.json"
-rc=0
-"$cli" fuzz --log-level quiet --replay "$skew_tmp/quic1" >/dev/null 2>"$skew_tmp/err" || rc=$?
-if [ "$rc" -ne 2 ] || ! grep -q "$skew_tmp/quic1/fixture.json" "$skew_tmp/err"; then
-  cat "$skew_tmp/err" >&2
-  echo "check.sh: a fixture pinning 1 QUIC training run exited $rc (want 2 naming it)" >&2
+usage_error "$skew_tmp/quic1/fixture.json" "$cli" fuzz --log-level quiet --replay "$skew_tmp/quic1"
+echo "(QUIC training runs below 2: exit 2 from the flag and from a fixture)"
+# An alert-rule streak must be an integer in 1..1000000: a huge or a
+# fractional for_epochs is a parse error naming the rule, never a rule
+# that fires at once (overflow) or a silently truncated streak.
+for n in 1e30 1.5; do
+  printf '{"kind":"nebby_alert_rules","version":1,"rules":[{"name":"bad-streak","signal":"unknown_share","ceiling":-1,"for_epochs":%s}]}\n' \
+    "$n" >"$skew_tmp/streak.json"
+  usage_error bad-streak "$cli" drift "$drift_tmp/j1/m.journal" $drift_out \
+    --rules "$skew_tmp/streak.json"
+done
+# A negative population or an unknown vantage point is a usage error on
+# every subcommand that builds a population.
+usage_error --region "$cli" census --region Mars
+usage_error --sites "$cli" census --sites=-1
+usage_error --sites "$cli" serve --sites=-1 --store "$skew_tmp/neg.journal"
+usage_error --sites "$cli" campaign census --sites=-1 --out "$skew_tmp/neg.jsonl"
+usage_error --sites "$cli" explain www.example.com --sites=-1
+# A reader of a store never creates it: a mistyped path is exit 2.
+usage_error "$skew_tmp/missing.journal" "$cli" drift "$skew_tmp/missing.journal" $drift_out
+if [ -e "$skew_tmp/missing.journal" ]; then
+  echo "check.sh: nebby drift created the missing store it was asked to read" >&2
   exit 1
 fi
-echo "(QUIC training runs below 2: exit 2 from the flag and from a fixture)"
+echo "(bad for_epochs, bad --sites/--region and a missing drift store: exit 2)"
 
 echo "check.sh: all green"
